@@ -137,10 +137,6 @@ class BdsPair:
         k = s % self.a_j
         return len(self.graded_roots(k)) + (self.rs.rank if k == 0 else 0)
 
-    @cached_property
-    def thetas(self) -> tuple[Root, ...]:
-        return tuple(self.theta_k(k) for k in range(1, self.a_j))
-
     def theta_k(self, k: int) -> Root:
         """The unique alpha in R_k^+ orthogonal-or-positive against Delta_0 with
         alpha + delta never a root (the dominant element of the graded piece)."""
@@ -216,15 +212,12 @@ class BdsPair:
 
     def delta0_coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a root-lattice vector in the Delta_0 basis."""
-        inv = self._delta0_inverse
         out = []
-        for row in inv:
+        for row in self._delta0_inverse:
             c = sum(r * x for r, x in zip(row, v))
             if c.denominator != 1:
                 raise ValueError(f"{tuple(v)} is not in the Delta_0 lattice")
-        # recompute with int conversion (two passes keeps the error message clean)
-        for row in inv:
-            out.append(int(sum(r * x for r, x in zip(row, v))))
+            out.append(int(c))
         return tuple(out)
 
     def g0_weight_values(self, v: Sequence[int]) -> dict[int, int]:

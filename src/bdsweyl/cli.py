@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
 from .rootsys import build, format_root, validate_type
-from .srring import SRPresentation, Weight0, presentation
+from .srring import HilbertSeries, SRPresentation, Weight0, presentation
 from .verify import distinct_fractions, run_all
 from .weylcrit import DeltaWeight, EvalParams, EvalPoint
 
@@ -37,7 +37,10 @@ def _parse_delta_weight(rank: int, spec: str) -> DeltaWeight:
         if not part.startswith("h") or "=" not in part:
             raise ValueError(f"bad weight component {part!r}; expected like 'h2=1'")
         key, _, val = part.partition("=")
-        vals[int(key[1:])] = int(val)
+        node = int(key[1:])
+        if node in vals:
+            raise ValueError(f"weight key h{node} given more than once")
+        vals[node] = int(val)
     return DeltaWeight.of(rank, vals)
 
 
@@ -100,9 +103,21 @@ def cmd_pair(args):
     return payload, text, 0
 
 
+def _hilbert_payload(hs: HilbertSeries) -> dict:
+    cf = hs.closed_form
+    return {
+        "degree": hs.truncation_degree,
+        "coefficients": list(hs.coefficients),
+        "closed_form": None if cf is None else {
+            "numerator": list(cf.numerator),
+            "denominator": list(cf.denominator),
+            "display": cf.format(),
+        },
+    }
+
+
 def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
     sc = pres.facets()
-    hs = pres.hilbert_series(degree)
     flags = pres.flags()
     pair = pres.pair
     out = {
@@ -114,15 +129,7 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
         "krull_dim": pres.krull_dim(),
         "d_lambda": pres.d_lambda() if pres.jac_zero else None,
         "facets": sorted(sorted([v.node, v.level] for v in f) for f in sc.facets),
-        "hilbert": {
-            "degree": hs.truncation_degree,
-            "coefficients": list(hs.coefficients),
-            "closed_form": None if hs.closed_form is None else {
-                "numerator": list(hs.closed_form.numerator),
-                "denominator": list(hs.closed_form.denominator),
-                "display": hs.closed_form.format(),
-            },
-        },
+        "hilbert": _hilbert_payload(pres.hilbert_series(degree)),
         "flags": {
             "jac_zero": flags["jac_zero"],
             "koszul": "true" if flags["koszul"] else "unknown",
@@ -168,17 +175,7 @@ def cmd_hilbert(args):
     pair = _resolve_pair(args)
     lam = _resolve_weight(pair, args)
     pres = presentation(pair, lam)
-    hs = pres.hilbert_series(args.degree)
-    payload = {
-        "weight": lam.format(),
-        "degree": hs.truncation_degree,
-        "coefficients": list(hs.coefficients),
-        "closed_form": None if hs.closed_form is None else {
-            "numerator": list(hs.closed_form.numerator),
-            "denominator": list(hs.closed_form.denominator),
-            "display": hs.closed_form.format(),
-        },
-    }
+    payload = {"weight": lam.format(), **_hilbert_payload(pres.hilbert_series(args.degree))}
     text = [f"Hilbert coefficients to degree {args.degree}: {payload['coefficients']}"]
     if payload["closed_form"]:
         text.append(f"closed form: {payload['closed_form']['display']}")

@@ -10,7 +10,7 @@ Euclidean embedding anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Tuple
 
 Root = Tuple[int, ...]
@@ -135,10 +135,6 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
-    @cached_property
-    def simple_root_lengths(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(2, di) for di in self.d)
-
     def _neg(self, a: Root) -> Root:
         return tuple(-x for x in a)
 
@@ -159,9 +155,6 @@ class RootSystem:
 
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self._root_set
-
-    def height(self, v: Sequence[int]) -> int:
-        return sum(v)
 
     # -- bilinear form and coroots ---------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -50,7 +50,10 @@ class Weight0(Mapping[int, int]):
                 m = re.fullmatch(r"\s*h(\d+)\s*=\s*(\d+)\s*", part)
                 if not m:
                     raise ValueError(f"bad weight component {part!r}; expected like 'h2=1'")
-                vals[int(m.group(1))] = int(m.group(2))
+                node = int(m.group(1))
+                if node in vals:
+                    raise ValueError(f"weight key h{node} given more than once")
+                vals[node] = int(m.group(2))
         return cls(vals)
 
     def __getitem__(self, key: int) -> int:
@@ -115,15 +118,6 @@ class SimplicialComplex:
 
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
-
-    def faces(self) -> set[frozenset]:
-        """All faces; exponential in facet size, intended for small complexes."""
-        out: set[frozenset] = set()
-        for f in self.facets:
-            members = sorted(f)
-            for mask in range(1 << len(members)):
-                out.add(frozenset(members[k] for k in range(len(members)) if mask >> k & 1))
-        return out
 
 
 def verify_shelling(complex_: SimplicialComplex, order: Sequence[frozenset]) -> bool:
@@ -329,10 +323,15 @@ class SRPresentation:
             members.extend(self._var(i, r) for r in range(1, m + 1))
         return frozenset(members)
 
-    def facets(self) -> SimplicialComplex:
+    @cached_property
+    def _complex(self) -> SimplicialComplex:
         facets = sorted({self._facet_from_tops(t) for t in self._facet_tuples()},
                         key=lambda f: sorted(f))
         return SimplicialComplex(self.variables, tuple(facets))
+
+    def facets(self) -> SimplicialComplex:
+        """The simplicial complex of the presentation, built once."""
+        return self._complex
 
     def krull_dim(self) -> int:
         """Krull dimension = maximal facet cardinality; checked against the
@@ -349,74 +348,55 @@ class SRPresentation:
     # -- Hilbert series --------------------------------------------------------
 
     def hilbert_series(self, D: int = 24) -> HilbertSeries:
-        """Graded dimension counting by per-node dynamic programming.
+        """Graded dimensions to degree D, expanded from the rational form
+        N(t) / prod_v (1 - t^deg v) built by `_closed_form`.
 
-        A monomial in the quotient is nonzero iff its support is a face, so
-        the series factors as the free-variable part times a budgeted sum
-        over top levels at the constrained nodes.
+        N is truncated at degree D unless jac_zero holds.  When it does, the
+        form is reduced by cancelling denominator factors and returned as
+        `closed_form`, checked against the expansion up to degree D.
         """
         if D < 0:
             raise ValueError("truncation degree must be >= 0")
-        a_j = self.pair.a_j
-        free = [1] + [0] * D
-        for i in self.free_nodes:
-            for r in range(1, self.caps[i] + 1):
-                _geometric_inplace(free, a_j * r)
-
-        nodes = self.constrained_nodes
-        weights = [self.comarks[i - 1] for i in nodes]
-        total = [0] * (D + 1)
-
-        def node_terms(i: int) -> list[list[int]]:
-            terms = [[1] + [0] * D]
-            g = [1] + [0] * D
-            for m in range(1, self.caps[i] + 1):
-                _geometric_inplace(g, a_j * m)
-                terms.append(_shift(g, a_j * m, D))
-            return terms
-
-        terms = {i: node_terms(i) for i in nodes}
-
-        def rec(idx: int, budget: int, acc: list[int]):
-            if idx == len(nodes):
-                for k, c in enumerate(acc):
-                    total[k] += c
-                return
-            i = nodes[idx]
-            w = weights[idx]
-            for m in range(0, min(self.caps[i], budget // w) + 1):
-                rec(idx + 1, budget - w * m, _mul_trunc(acc, terms[i][m], D))
-
-        rec(0, self.h0, [1] + [0] * D)
-        coeffs = tuple(_mul_trunc(free, total, D))
-        closed = self._closed_form() if self.jac_zero else None
-        if closed is not None:
+        unreduced = self._closed_form(D)
+        coeffs = unreduced.coefficients(D)
+        closed = None
+        if self.jac_zero:
+            closed = ClosedForm(*map(tuple, _cancel(unreduced.numerator, unreduced.denominator)))
             assert closed.coefficients(D) == coeffs
         return HilbertSeries(D, coeffs, closed)
 
-    def _closed_form(self) -> ClosedForm:
+    def _closed_form(self, D: int) -> ClosedForm:
+        """Unreduced rational form: a budget DP over the constrained nodes.
+
+        A monomial in the quotient is nonzero iff its support is a face, and a
+        face is fixed by its top level m at each constrained node.  Top level m
+        at node i contributes t^{a_j m} prod_{r>m} (1 - t^{a_j r}) over the
+        denominator prod_{r<=cap} (1 - t^{a_j r}); free nodes contribute 1.
+        The DP maps the budget used so far to the sum of the products of these
+        terms, so N sums the terms over every budgeted top-level tuple without
+        enumerating them.  N is kept whole when jac_zero (the reduced form is
+        printed) and truncated at degree D otherwise.
+        """
+        cut = None if self.jac_zero else D
         a_j = self.pair.a_j
-        nodes = self.constrained_nodes
-        weights = [self.comarks[i - 1] for i in nodes]
-        num = [0]
-
-        def rec(idx: int, budget: int, acc: list[int]):
-            nonlocal num
-            if idx == len(nodes):
-                num = _add(num, acc)
-                return
-            i = nodes[idx]
-            w = weights[idx]
-            for m in range(0, min(self.caps[i], budget // w) + 1):
-                term = [0] * (a_j * m) + [1]
-                for r in range(m + 1, self.caps[i] + 1):
-                    term = _mul(term, _one_minus_td(a_j * r))
-                rec(idx + 1, budget - w * m, _mul(acc, term))
-
-        rec(0, self.h0, [1])
-        denom = sorted(v.degree for v in self.variables)
-        num, denom = _cancel(num, denom)
-        return ClosedForm(tuple(num), tuple(denom))
+        states = {0: [1]}
+        for i in self.constrained_nodes:
+            w, cap = self.comarks[i - 1], self.caps[i]
+            terms, above = [], [1]
+            for m in range(cap, 0, -1):
+                terms.append(_mul([0] * (a_j * m) + [1], above, cut))
+                above = _mul(above, _one_minus_td(a_j * m), cut)
+            terms.append(above)
+            terms.reverse()
+            new: dict[int, list[int]] = {}
+            for used, acc in states.items():
+                for m in range(min(cap, (self.h0 - used) // w) + 1):
+                    term = _mul(acc, terms[m], cut)
+                    key = used + w * m
+                    new[key] = _add(new[key], term) if key in new else term
+            states = new
+        num = reduce(_add, states.values())
+        return ClosedForm(tuple(num), tuple(sorted(v.degree for v in self.variables)))
 
     # -- shelling ---------------------------------------------------------------
 
@@ -510,37 +490,14 @@ def hilbert_series_bruteforce(pres: SRPresentation, D: int) -> tuple[int, ...]:
 # -- small integer-polynomial helpers (coefficient lists in t) ---------------
 
 
-def _geometric_inplace(p: list[int], d: int) -> None:
-    """Multiply the truncated series p by 1/(1 - t^d) in place."""
-    for k in range(d, len(p)):
-        p[k] += p[k - d]
-
-
-def _shift(p: list[int], d: int, D: int) -> list[int]:
-    out = [0] * (D + 1)
-    for k, c in enumerate(p):
-        if c and k + d <= D:
-            out[k + d] = c
-    return out
-
-
-def _mul_trunc(a: list[int], b: list[int], D: int) -> list[int]:
-    out = [0] * (D + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > D:
-            continue
-        for k in range(min(len(b) - 1, D - i) + 1):
-            if b[k]:
-                out[i + k] += ai * b[k]
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+def _mul(a: Sequence[int], b: Sequence[int], D: int | None = None) -> list[int]:
+    """Product of a and b, truncated at degree D when D is given."""
+    n = len(a) + len(b) - 1 if D is None else min(len(a) + len(b) - 1, D + 1)
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
         if ai == 0:
             continue
-        for k, bk in enumerate(b):
+        for k, bk in enumerate(b[:n - i]):
             if bk:
                 out[i + k] += ai * bk
     return out
@@ -578,7 +535,7 @@ def _divide_one_minus_td(num: list[int], d: int) -> list[int] | None:
     return _trim(q[:max(1, len(num) - d)])
 
 
-def _cancel(num: list[int], denom: list[int]) -> tuple[list[int], list[int]]:
+def _cancel(num: Sequence[int], denom: Sequence[int]) -> tuple[list[int], list[int]]:
     num = _trim(list(num))
     remaining: list[int] = []
     for d in sorted(denom, reverse=True):

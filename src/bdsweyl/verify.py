@@ -33,8 +33,15 @@ def _random_weight(pair: BdsPair, rng: random.Random, bound: int = 3) -> Weight0
     return Weight0({k: rng.randrange(0, bound + 1) for k in pair.delta0_labels})
 
 
+# Number of distinct values +-a/b (1 <= a < 60, 1 <= b < 5) that
+# distinct_fractions draws from.
+FRACTION_POOL = 2 * len({Fraction(a, b) for a in range(1, 60) for b in range(1, 5)})
+
+
 def distinct_fractions(rng: random.Random, k: int) -> list[Fraction]:
     """k pairwise distinct nonzero rationals, deterministic for a fixed rng."""
+    if k > FRACTION_POOL:
+        raise ValueError(f"at most {FRACTION_POOL} distinct evaluation points can be drawn, got {k}")
     out: list[Fraction] = []
     while len(out) < k:
         z = Fraction(rng.randrange(1, 60), rng.randrange(1, 5))

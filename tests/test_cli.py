@@ -111,6 +111,25 @@ def test_idealpoint_deterministic(capsys):
         assert "/" in val or val.lstrip("-").isdigit()
 
 
+def test_idealpoint_more_points_than_the_pool_exits_2(capsys):
+    args = ("idealpoint", "B", "3", "--node", "3", "--weight", "h2=1,h0=1", "--seed", "11")
+    code, _, err = run(capsys, *args, "--points", "319")
+    assert code == 2
+    assert "318" in err
+    code, out, _ = run(capsys, *args, "--points", "3", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 3
+
+
+@pytest.mark.parametrize("flag,spec", [("--weight", "h2=1,h2=5,h0=1"),
+                                       ("--delta-weight", "h2=1,h2=5")])
+def test_repeated_weight_key_exits_2(capsys, flag, spec):
+    code, out, err = run(capsys, "alambda", "B", "3", "--node", "3", flag, spec)
+    assert code == 2
+    assert out == ""
+    assert "h2 given more than once" in err
+
+
 def test_garland_check(capsys):
     code, out, _ = run(capsys, "garland-check", "G", "2", "--node", "2", "--order", "3")
     assert code == 0

@@ -1,0 +1,54 @@
+"""Golden corpus: SHA-256 of the JSON stdout of a fixed set of CLI runs.
+
+The digests pin the exact bytes printed by every subcommand, including the
+Hilbert series on both sides of jac_zero (comark 1 at j, where the closed
+form is printed, and comark 2 or 3, where it is not) and at degree 0.  A
+refactor that changes any printed byte fails here; re-record a digest only
+for an intended change of output.
+"""
+
+import hashlib
+
+import pytest
+
+from bdsweyl.cli import main
+
+D8_WEIGHT = "h1=6,h2=6,h3=6,h5=6,h6=6,h7=6,h8=6,h0=24"
+D6_WEIGHT = "h1=1,h2=2,h4=1,h5=1,h6=1,h0=4"
+
+GOLDEN = [
+    ("pair B 3 --node 3",
+     "6dbdeaab2fdb0e56518f79e86fb5536c2d2684584f0f88b6606a7be7d279e4b0"),
+    ("pair E 6 --node 4",
+     "f256bbfefa6db6bab7402aa9ce8047fa72006d077cf6c5ad72dc4fefbec3420c"),
+    ("alambda B 4 --node 4 --weight h1=2,h3=1,h0=3 --degree 12",
+     "679944ab91f24bfc4610adf1bc87c589e592c5d4624b0fa5771480eaa1539c1f"),
+    ("hilbert B 4 --node 4 --weight h1=2,h3=1,h0=3 --degree 20",
+     "07a5b4fbad3f9bfe20cd4920f8b85156a6bd274aeaa06007a67933f09ccbf8ef"),
+    (f"alambda D 6 --node 3 --weight {D6_WEIGHT} --degree 10",
+     "d422a4cbb8313717d2fb2cd1437f492ba4d96277135e26e39df5fd8697a02f49"),
+    (f"hilbert D 8 --node 4 --weight {D8_WEIGHT} --degree 6",
+     "a484cf23e6780a41f061c2d093c3ddba36c84e9a7b23a48c1b2971002a303648"),
+    ("hilbert E 6 --node 4 --weight h1=1,h2=1,h3=1,h5=1,h6=1,h0=4 --degree 14",
+     "8de1d49f779363318271a0f023c0a3418e9048c6411eea6f8bfebae641fc99f6"),
+    ("hilbert G 2 --node 1 --weight h2=2,h0=2 --degree 0",
+     "8b666fbd5ae1c356673a0191afc209544b2fd168f0fc2efebbce73960c79868f"),
+    (f"hilbert D 6 --node 3 --weight {D6_WEIGHT} --degree 0",
+     "2b3b52d80d3528dd2a412e50f4aad8909801617ba0e9032e56c5c50037b4f381"),
+    ("localdim B 3 --node 3 --fundamental 2 --power 1",
+     "cd1cfd20c1f06cd0cee1651cde93a10f7f87fc6cbc0c5a091afb8e444dcf1ae4"),
+    ("idealpoint B 3 --node 3 --weight h2=1,h0=1 --seed 11 --points 3",
+     "d5c5307a977fa7083d74d847ec2e1e0ec67852533787838d10eaf1286bd49c70"),
+    ("garland-check B 3 --node 3 --order 3",
+     "76d273c3de891e1ca957b7962c3941ffa3d1e596db68b46d86bcefc3ad4c7024"),
+    ("verify-all --max-rank 4",
+     "2d822ac9b8cde0de912141e2d58a728a75b6fbe88dd76ad4f6268023d9c10eeb"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_json_stdout(capsys, command, digest):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdsweyl.bdspair import build_pair
+from bdsweyl.bdspair import all_pairs, build_pair
 from bdsweyl.srring import (
     SimplicialComplex,
     SRVariable,
@@ -37,6 +39,8 @@ def test_weight0_parse_and_format():
     assert w.format() == "h2=1,h0=1"
     with pytest.raises(ValueError):
         Weight0.parse("x=1")
+    with pytest.raises(ValueError):
+        Weight0.parse("h2=1,h2=5,h0=1")
     with pytest.raises(ValueError):
         Weight0({1: -1})
 
@@ -125,6 +129,7 @@ def test_facets_are_maximal_faces():
     for pair in sample_pairs():
         pres = presentation(pair, random_weight(pair, rng, bound=2))
         sc = pres.facets()
+        assert pres.facets() is sc
         for f in sc.facets:
             assert pres.face_predicate(f)
             for v in pres.variables:
@@ -166,6 +171,41 @@ def test_hilbert_matches_bruteforce():
             pres = presentation(pair, random_weight(pair, rng))
             D = 18
             assert pres.hilbert_series(D).coefficients == hilbert_series_bruteforce(pres, D)
+    # Comark 2 (D6, node 3) and 3 (E6, node 4) at j: the numerator is truncated.
+    for pair in (build_pair("D", 3, rank=6), build_pair("E", 4, rank=6)):
+        assert pair.comarks_alpha0[pair.j - 1] >= 2
+        for _ in range(4):
+            pres = presentation(pair, random_weight(pair, rng, bound=2))
+            D = 14
+            assert pres.hilbert_series(D).coefficients == hilbert_series_bruteforce(pres, D)
+
+
+def test_hilbert_prefix_independent_of_truncation():
+    rng = random.Random(31)
+    pairs = sample_pairs() + [build_pair("D", 3, rank=6), build_pair("E", 4, rank=6)]
+    sides = set()
+    for pair in pairs:
+        for _ in range(3):
+            pres = presentation(pair, random_weight(pair, rng))
+            sides.add(pres.jac_zero)
+            for D in (0, 3, 10):
+                short, longer = pres.hilbert_series(D), pres.hilbert_series(D + 7)
+                assert short.coefficients == longer.coefficients[:D + 1]
+                assert short.closed_form == longer.closed_form
+    assert sides == {True, False}
+
+
+ALL_PAIRS_5 = all_pairs(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hilbert_property_matches_bruteforce(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_5), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 2), label=f"h{k}") for k in pair.delta0_labels})
+    D = data.draw(st.integers(0, 14), label="D")
+    pres = presentation(pair, lam)
+    assert pres.hilbert_series(D).coefficients == hilbert_series_bruteforce(pres, D)
 
 
 def test_hilbert_closed_form_only_when_jac_zero():

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from bdsweyl.bdspair import all_pairs, build_pair
-from bdsweyl.verify import distinct_fractions
+from bdsweyl.verify import FRACTION_POOL, distinct_fractions
 from bdsweyl.rootsys import build
 from bdsweyl.srring import Weight0, presentation
 from bdsweyl.weylcrit import (
@@ -158,6 +158,13 @@ def random_params(pair, rng, max_points=2):
     vals = {i: mu[i] + sum(p.weight[i] for p in points) for i in pair.i_complement}
     vals[0] = mu[0] + sum(c[i - 1] * p.weight[i] for p in points for i in pair.rs.nodes)
     return Weight0(vals), EvalParams(mu=mu, points=points)
+
+
+def test_distinct_fractions_pool_bound():
+    # The whole pool can be drawn; one more is rejected up front, not looped on.
+    assert len(set(distinct_fractions(random.Random(5), FRACTION_POOL))) == FRACTION_POOL
+    with pytest.raises(ValueError):
+        distinct_fractions(random.Random(5), FRACTION_POOL + 1)
 
 
 def test_ideal_point_randomized():
