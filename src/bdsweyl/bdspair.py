@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .rootsys import ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, format_root
+from .rootsys import ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, format_root, weyl_product
 
 
 @dataclass(frozen=True)
@@ -254,17 +254,9 @@ class BdsPair:
         vals = [int(weight.get(label, 0)) for label in self.delta0_labels]
         if any(v < 0 for v in vals):
             raise ValueError(f"weight {weight} is not dominant for the subalgebra")
-        num = 1
-        den = 1
-        for a in self.graded_positive(0):
-            cor = self.g0_coroot_coordinates(a)
-            assert all(c >= 0 for c in cor)
-            s = sum(cor)
-            num *= s + sum(c * v for c, v in zip(cor, vals))
-            den *= s
-        dim, rem = divmod(num, den)
-        assert rem == 0
-        return dim
+        coroots = [self.g0_coroot_coordinates(a) for a in self.graded_positive(0)]
+        assert all(c >= 0 for cor in coroots for c in cor)
+        return weyl_product(coroots, vals)
 
     def gk_irreducibility_check(self, k: int) -> bool:
         """Whether the degree-k piece has the dimension of the irreducible

@@ -10,38 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
-from fractions import Fraction
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
 from .rootsys import build, format_root, validate_type
-from .srring import HilbertSeries, SRPresentation, Weight0, presentation
-from .verify import distinct_fractions, run_all
-from .weylcrit import DeltaWeight, EvalParams, EvalPoint
+from .srring import HilbertSeries, SRPresentation, Weight0, parse_weight_spec, presentation
+from .verify import draw_eval_params, run_all
 
 SCHEMA_VERSION = 1
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _parse_delta_weight(rank: int, spec: str) -> DeltaWeight:
-    vals = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if not part.startswith("h") or "=" not in part:
-            raise ValueError(f"bad weight component {part!r}; expected like 'h2=1'")
-        key, _, val = part.partition("=")
-        node = int(key[1:])
-        if node in vals:
-            raise ValueError(f"weight key h{node} given more than once")
-        vals[node] = int(val)
-    return DeltaWeight.of(rank, vals)
 
 
 def _resolve_pair(args) -> BdsPair:
@@ -53,12 +32,10 @@ def _resolve_pair(args) -> BdsPair:
 
 
 def _resolve_weight(pair: BdsPair, args) -> Weight0:
-    if getattr(args, "delta_weight", None):
-        dw = _parse_delta_weight(pair.rs.rank, args.delta_weight)
+    if args.delta_weight is not None:
+        dw = weylcrit.DeltaWeight.of(pair.rs.rank, parse_weight_spec(args.delta_weight))
         return weylcrit.weight_restrict(pair, dw)
-    if getattr(args, "weight", None):
-        return Weight0.parse(args.weight)
-    return Weight0()
+    return Weight0.parse(args.weight or "")
 
 
 def _pair_payload(pair: BdsPair) -> dict:
@@ -196,51 +173,27 @@ def cmd_localdim(args):
     return payload, rep.lines(), 0
 
 
-def _draw_params(pair: BdsPair, lam: Weight0, rng: random.Random, k: int) -> EvalParams:
-    c = pair.comarks_alpha0
-    remaining = {i: lam[i] for i in pair.i_complement}
-    remaining_h0 = lam[0]
-    points = []
-    powers = distinct_fractions(rng, k)
-    for s in range(k):
-        vals = {}
-        for i in pair.i_complement:
-            cap = remaining[i]
-            if c[i - 1] > 0:
-                cap = min(cap, remaining_h0 // c[i - 1])
-            vals[i] = rng.randrange(0, cap + 1)
-            remaining[i] -= vals[i]
-            remaining_h0 -= c[i - 1] * vals[i]
-        cap_j = remaining_h0 // c[pair.j - 1]
-        vals[pair.j] = rng.randrange(0, cap_j + 1)
-        remaining_h0 -= c[pair.j - 1] * vals[pair.j]
-        points.append(EvalPoint(powers[s], DeltaWeight.of(pair.rs.rank, vals)))
-    mu_vals = dict(remaining)
-    mu_vals[0] = remaining_h0
-    return EvalParams(mu=Weight0(mu_vals), points=tuple(points))
-
-
 def cmd_idealpoint(args):
     pair = _resolve_pair(args)
     lam = _resolve_weight(pair, args)
     rng = random.Random(args.seed)
-    params = _draw_params(pair, lam, rng, args.points)
+    params = draw_eval_params(pair, lam, rng, args.points)
     point = weylcrit.ideal_point_from_params(pair, lam, params)
     payload = {
         "weight": lam.format(),
         "seed": args.seed,
         "mu": params.mu.format(),
         "mu_h0": point.mu_h0,
-        "points": [{"z_power": _frac(p.z_power), "weight": list(p.weight.values)}
+        "points": [{"z_power": str(p.z_power), "weight": list(p.weight.values)}
                    for p in params.points],
-        "pi": {f"{i},{r}": _frac(c) for (i, r), c in sorted(point.nonzero_entries().items())},
+        "pi": {f"{i},{r}": str(c) for (i, r), c in sorted(point.nonzero_entries().items())},
         "degrees": [point.degree(i) for i in pair.rs.nodes],
         "verified": True,
     }
     text = [
         f"weight: {lam.format()}  mu: {params.mu.format()}",
         "points: " + ("; ".join(
-            f"z^a_j={_frac(p.z_power)}, weight={list(p.weight.values)}" for p in params.points) or "none"),
+            f"z^a_j={p.z_power}, weight={list(p.weight.values)}" for p in params.points) or "none"),
         "pi entries: " + (", ".join(f"pi[{k}]={v}" for k, v in payload["pi"].items()) or "all zero"),
         "presentation relations and degree identity: verified",
     ]
@@ -249,18 +202,8 @@ def cmd_idealpoint(args):
 
 def cmd_garland_check(args):
     pair = _resolve_pair(args)
-    failures = []
-    for alpha in pair.rs.positive_roots:
-        diff = garland.product_formula_diff(pair, alpha, args.order)
-        if diff is not None:
-            failures.append({"root": list(alpha), "check": "product_formula",
-                             "order": diff[0], "lhs": repr(diff[1]), "rhs": repr(diff[2])})
-        diff = garland.grouplike_diff(pair, alpha, args.order)
-        if diff is not None:
-            failures.append({"root": list(alpha), "check": "grouplike",
-                             "order": diff[0], "lhs": repr(diff[1]), "rhs": repr(diff[2])})
-        if not garland.newton_identity_holds(pair, alpha, args.order):
-            failures.append({"root": list(alpha), "check": "newton", "order": args.order})
+    failures = [f for alpha in pair.rs.positive_roots
+                for f in garland.root_failures(pair, alpha, args.order)]
     payload = {
         "order": args.order,
         "roots_checked": len(pair.rs.positive_roots),
@@ -300,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("rank", type=int, help="rank of the root system")
         p.add_argument("--node", type=int, default=None, help="node j with mark >= 2")
         if weight:
-            p.add_argument("--weight", default=None,
+            g = p.add_mutually_exclusive_group()
+            g.add_argument("--weight", default=None,
                            help="subalgebra weight, e.g. 'h2=1,h0=1' (default 0)")
-            p.add_argument("--delta-weight", default=None,
+            g.add_argument("--delta-weight", default=None,
                            help="ambient dominant weight, e.g. 'h1=0,h2=1,h3=0'; "
                                 "converted to subalgebra coordinates")
         if degree:
@@ -361,9 +305,13 @@ def main(argv=None) -> int:
         return 1
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
+        text = [json.dumps(payload, sort_keys=True, indent=2)]
+    try:
         print("\n".join(text))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send the flush at interpreter exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

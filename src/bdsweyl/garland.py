@@ -32,11 +32,7 @@ class HPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = Fraction(c)
+        self.terms: dict[Monomial, Fraction] = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "HPoly":
@@ -195,10 +191,6 @@ def product_formula_diff(pair: BdsPair, alpha: tuple, N: int):
     return None
 
 
-def product_formula_check(pair: BdsPair, alpha: tuple, N: int) -> bool:
-    return product_formula_diff(pair, alpha, N) is None
-
-
 def _embed(poly: HPoly, side: int) -> HPoly:
     return HPoly({tuple((side,) + k for k in m): c for m, c in poly.terms.items()})
 
@@ -219,13 +211,23 @@ def grouplike_diff(pair: BdsPair, alpha: tuple, N: int):
     return None
 
 
-def grouplike_check(pair: BdsPair, alpha: tuple, N: int) -> bool:
-    return grouplike_diff(pair, alpha, N) is None
-
-
 def newton_identity_holds(pair: BdsPair, alpha: tuple, r: int) -> bool:
     """r * P[alpha,r] + sum_p H_alpha[p] * P[alpha,r-p] = 0 as polynomials."""
     total = p_element(pair, alpha, r).scale(r)
     for p in range(1, r + 1):
         total = total + h_alpha(pair, alpha, p) * p_element(pair, alpha, r - p)
     return total.is_zero()
+
+
+def root_failures(pair: BdsPair, alpha: tuple, N: int) -> list[dict]:
+    """Run the product-formula, group-like and Newton checks at order N for one
+    positive root; returns one record per failing check, [] when all hold."""
+    out = []
+    for check, diff in (("product_formula", product_formula_diff), ("grouplike", grouplike_diff)):
+        d = diff(pair, alpha, N)
+        if d is not None:
+            out.append({"root": list(alpha), "check": check,
+                        "order": d[0], "lhs": repr(d[1]), "rhs": repr(d[2])})
+    if not newton_identity_holds(pair, alpha, N):
+        out.append({"root": list(alpha), "check": "newton", "order": N})
+    return out

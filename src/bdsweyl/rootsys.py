@@ -246,16 +246,7 @@ class RootSystem:
         vals = self._weight_values(lam)
         if any(v < 0 for v in vals):
             raise ValueError(f"weight {vals} is not dominant")
-        num = 1
-        den = 1
-        for a in self.positive_roots:
-            cor = self.coroot_coordinates(a)
-            s = sum(cor)
-            num *= s + sum(c * v for c, v in zip(cor, vals))
-            den *= s
-        dim, rem = divmod(num, den)
-        assert rem == 0, "Weyl dimension did not come out integral"
-        return dim
+        return weyl_product((self.coroot_coordinates(a) for a in self.positive_roots), vals)
 
     def _weight_values(self, lam: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
         if isinstance(lam, Mapping):
@@ -269,6 +260,20 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_letter}{self.rank}, {len(self.roots)} roots)"
+
+
+def weyl_product(coroots: Iterable[Sequence[int]], vals: Sequence[int]) -> int:
+    """Weyl dimension formula prod_c (ht c + <c, vals>) / prod_c ht c over the
+    positive coroots c, given in simple-coroot coordinates (ht c = sum of c)."""
+    num = 1
+    den = 1
+    for cor in coroots:
+        s = sum(cor)
+        num *= s + sum(c * v for c, v in zip(cor, vals))
+        den *= s
+    dim, rem = divmod(num, den)
+    assert rem == 0, "Weyl dimension did not come out integral"
+    return dim
 
 
 @lru_cache(maxsize=None)

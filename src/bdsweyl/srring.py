@@ -27,6 +27,24 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .bdspair import BdsPair
 
 
+def parse_weight_spec(spec: str) -> dict[int, int]:
+    """Parse comma-separated 'hN=V' components into {N: V}; V may be signed.
+    '' and '0' (the zero weight as `Weight0.format` prints it) give {}; a
+    malformed component or a repeated key raises ValueError."""
+    vals: dict[int, int] = {}
+    if spec.strip() in ("", "0"):
+        return vals
+    for part in spec.split(","):
+        m = re.fullmatch(r"\s*h(\d+)\s*=\s*([+-]?\d+)\s*", part)
+        if not m:
+            raise ValueError(f"bad weight component {part!r}; expected like 'h2=1'")
+        node = int(m.group(1))
+        if node in vals:
+            raise ValueError(f"weight key h{node} given more than once")
+        vals[node] = int(m.group(2))
+    return vals
+
+
 class Weight0(Mapping[int, int]):
     """Dominant integral weight for the fixed-point subalgebra.
 
@@ -42,19 +60,8 @@ class Weight0(Mapping[int, int]):
 
     @classmethod
     def parse(cls, spec: str) -> "Weight0":
-        """Parse a spec like 'h2=1,h0=1'."""
-        vals: dict[int, int] = {}
-        spec = spec.strip()
-        if spec:
-            for part in spec.split(","):
-                m = re.fullmatch(r"\s*h(\d+)\s*=\s*(\d+)\s*", part)
-                if not m:
-                    raise ValueError(f"bad weight component {part!r}; expected like 'h2=1'")
-                node = int(m.group(1))
-                if node in vals:
-                    raise ValueError(f"weight key h{node} given more than once")
-                vals[node] = int(m.group(2))
-        return cls(vals)
+        """Parse a spec like 'h2=1,h0=1'; see `parse_weight_spec`."""
+        return cls(parse_weight_spec(spec))
 
     def __getitem__(self, key: int) -> int:
         return self._values.get(key, 0)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .bdspair import BdsPair
-from .srring import Weight0
+from .srring import Weight0, _mul
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def ideal_point_from_params(pair: BdsPair, lam: Weight0, params: EvalParams) -> 
         for p in params.points:
             factor = [Fraction(1), -p.z_power]
             for _ in range(p.weight[i]):
-                poly = _poly_mul(poly, factor)
+                poly = _mul(poly, factor)
         rows.append(tuple(poly))
     point = IdealPoint(lam, params.mu[0], tuple(rows))
     verify_ideal_point(pair, point)
@@ -202,16 +202,6 @@ def verify_ideal_point(pair: BdsPair, point: IdealPoint) -> None:
         raise AssertionError("relation violated: weighted degree exceeds lam(h_0)")
     if weighted != lam[0] - point.mu_h0:
         raise AssertionError("degree identity violated: mu(h_0) != lam(h_0) - weighted degree")
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                if bk:
-                    out[i + k] += ai * bk
-    return out
 
 
 # -- local Weyl module dimensions for (B_n, D_n) -------------------------------

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdsweyl
+from bdsweyl import garland, verify
 from bdsweyl.cli import main
 
 
@@ -66,6 +72,10 @@ def test_alambda_delta_weight_conversion(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["weight"] == "h2=1,h0=1"
+    # a negative value at j is allowed in ambient coordinates
+    code, out, _ = run(capsys, "alambda", "B", "3", "--node", "3", "--delta-weight", "h2=1,h3=-1")
+    assert code == 0
+    assert "weight: h2=1\n" in out
 
 
 def test_alambda_json_schema(capsys):
@@ -128,6 +138,44 @@ def test_repeated_weight_key_exits_2(capsys, flag, spec):
     assert code == 2
     assert out == ""
     assert "h2 given more than once" in err
+
+
+@pytest.mark.parametrize("cmd", ["alambda", "hilbert", "idealpoint"])
+def test_weight_flags_exclusive_and_strict(capsys, cmd):
+    base = (cmd, "B", "3", "--node", "3")
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--weight", "h2=5,h0=5", "--delta-weight", "h2=1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    for flag in ("--weight", "--delta-weight"):
+        code, out, err = run(capsys, *base, flag, "h2=1,")
+        assert code == 2
+        assert out == ""
+        assert "bad weight component ''" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "bdsweyl.cli", "pair", "B", "3", "--node", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before anything is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_garland_failure_reported_by_both_routes(capsys, monkeypatch):
+    monkeypatch.setattr(garland, "newton_identity_holds", lambda pair, alpha, r: False)
+    code, out, _ = run(capsys, "garland-check", "G", "2", "--node", "2", "--order", "2",
+                       "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert len(payload["failures"]) == payload["roots_checked"] == 6
+    assert all(f["check"] == "newton" and f["order"] == 2 for f in payload["failures"])
+    result = verify.check_garland(2, 2)
+    assert not result.ok
+    assert result.detail.startswith("newton at ")
 
 
 def test_garland_check(capsys):

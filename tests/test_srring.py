@@ -45,6 +45,13 @@ def test_weight0_parse_and_format():
         Weight0({1: -1})
 
 
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(0, 9), st.integers(0, 30), max_size=5))
+def test_weight0_parse_round_trips_format(vals):
+    w = Weight0(vals)
+    assert Weight0.parse(w.format()) == w
+
+
 def test_example_presentation():
     pres = presentation(B3, EXAMPLE_578)
     assert [(v.node, v.level) for v in pres.variables] == [(2, 1), (3, 1)]

@@ -4,9 +4,11 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdsweyl.bdspair import all_pairs, build_pair
-from bdsweyl.verify import FRACTION_POOL, distinct_fractions
+from bdsweyl.verify import FRACTION_POOL, distinct_fractions, draw_eval_params
 from bdsweyl.rootsys import build
 from bdsweyl.srring import Weight0, presentation
 from bdsweyl.weylcrit import (
@@ -263,3 +265,31 @@ def test_record_constants():
     assert all(not rec.computed for rec in record_constants())
     special = next(r for r in record_constants() if r.ideal_kind == "special")
     assert "thesis" in special.note
+
+
+ALL_PAIRS_5 = all_pairs(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_weight_restrict_inverts_weight_convert(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_5), label="pair")
+    c = pair.comarks_alpha0
+    vals = {i: data.draw(st.integers(0, 4), label=f"h{i}") for i in pair.i_complement}
+    rest = sum(c[i - 1] * v for i, v in vals.items())
+    cj = c[pair.j - 1]
+    # lam(h_0) = rest + cj * m keeps lam integral, i.e. in the ambient weight lattice
+    vals[0] = rest + cj * data.draw(st.integers(-(rest // cj), 4), label="m")
+    lam = Weight0(vals)
+    assert weight_restrict(pair, weight_convert(pair, lam)) == lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_drawn_eval_params_give_verified_ideal_points(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_5), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    k = data.draw(st.integers(0, 3), label="k")
+    params = draw_eval_params(pair, lam, random.Random(data.draw(st.integers(0, 10 ** 6))), k)
+    assert len(params.points) == k
+    ideal_point_from_params(pair, lam, params)  # raises unless every relation holds
