@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
@@ -113,10 +114,18 @@ class SimplicialComplex:
     facets: tuple[frozenset, ...]
 
     def __post_init__(self):
-        for a in self.facets:
-            for b in self.facets:
-                if a is not b and a <= b:
-                    raise ValueError("facet list contains a non-maximal face")
+        # Facet b contains a iff bit b is set in the mask of every vertex of a,
+        # so a is maximal iff that AND leaves only its own bit.  Facets are
+        # told apart by identity: the same object listed twice is one facet.
+        facets = list({id(f): f for f in self.facets}.values())
+        masks: dict = {}
+        for bit, f in enumerate(facets):
+            for v in f:
+                masks[v] = masks.get(v, 0) | 1 << bit
+        everything = (1 << len(facets)) - 1
+        for bit, a in enumerate(facets):
+            if reduce(and_, (masks[v] for v in a), everything) != 1 << bit:
+                raise ValueError("facet list contains a non-maximal face")
 
     @property
     def is_pure(self) -> bool:

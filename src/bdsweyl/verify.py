@@ -40,6 +40,8 @@ FRACTION_POOL = 2 * len({Fraction(a, b) for a in range(1, 60) for b in range(1, 
 
 def distinct_fractions(rng: random.Random, k: int) -> list[Fraction]:
     """k pairwise distinct nonzero rationals, deterministic for a fixed rng."""
+    if k < 0:
+        raise ValueError(f"the number of evaluation points must be non-negative, got {k}")
     if k > FRACTION_POOL:
         raise ValueError(f"at most {FRACTION_POOL} distinct evaluation points can be drawn, got {k}")
     out: list[Fraction] = []
@@ -220,6 +222,8 @@ def check_garland(max_rank: int, order: int) -> CheckResult:
 def run_all(max_rank: int = 5, seed: int = 0, weight_samples: int = 6,
             hilbert_samples: int = 10, hilbert_degree: int = 16,
             ideal_samples: int = 40, garland_order: int = 3) -> list[CheckResult]:
+    if max_rank < 2:
+        raise ValueError(f"max rank must be at least 2, the smallest rank of a pair, got {max_rank}")
     rng = random.Random(seed)
     return [
         check_pair_structure(max_rank),

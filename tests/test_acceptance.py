@@ -9,7 +9,7 @@ from itertools import product
 from math import comb
 
 from bdsweyl.bdspair import all_pairs, build_pair
-from bdsweyl.garland import exp_series, grouplike_diff, newton_identity_holds, product_formula_diff
+from bdsweyl.garland import coroot, exp_series, grouplike_diff, newton_identity_holds, product_formula_diff
 from bdsweyl.rootsys import build
 from bdsweyl.srring import (
     SimplicialComplex,
@@ -208,11 +208,11 @@ def test_criterion_11_garland_identities():
     roots = 0
     for pair in all_pairs(4):
         for alpha in pair.rs.positive_roots:
-            exp_series(pair, alpha, 6)  # asserts agreement with the recursion to order 6
+            exp_series(coroot(pair, alpha), 6)  # asserts agreement with the recursion to order 6
             for r in range(1, 7):
-                assert newton_identity_holds(pair, alpha, r)
-            assert product_formula_diff(pair, alpha, 4) is None
-            assert grouplike_diff(pair, alpha, 4) is None
+                assert newton_identity_holds(coroot(pair, alpha), r)
+            assert product_formula_diff(coroot(pair, alpha), 4) is None
+            assert grouplike_diff(coroot(pair, alpha), 4) is None
             roots += 1
     _report(11, f"series identities over {roots} positive roots of all rank <= 4 pairs at order 4")
 

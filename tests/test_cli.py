@@ -126,6 +126,10 @@ def test_idealpoint_more_points_than_the_pool_exits_2(capsys):
     code, _, err = run(capsys, *args, "--points", "319")
     assert code == 2
     assert "318" in err
+    code, out, err = run(capsys, *args, "--points", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
     code, out, _ = run(capsys, *args, "--points", "3", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["points"]) == 3
@@ -165,7 +169,7 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_garland_failure_reported_by_both_routes(capsys, monkeypatch):
-    monkeypatch.setattr(garland, "newton_identity_holds", lambda pair, alpha, r: False)
+    monkeypatch.setattr(garland, "newton_identity_holds", lambda c, r: False)
     code, out, _ = run(capsys, "garland-check", "G", "2", "--node", "2", "--order", "2",
                        "--format", "json")
     assert code == 1
@@ -186,6 +190,21 @@ def test_garland_check(capsys):
 
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-rank", "4", "--seed", "1")
+    assert code == 0
+    assert "overall: pass" in out
+
+
+@pytest.mark.parametrize("max_rank", ["0", "1", "-3"])
+def test_verify_all_below_rank_2_exits_2(capsys, max_rank):
+    code, out, err = run(capsys, "verify-all", "--max-rank", max_rank)
+    assert code == 2
+    assert out == ""
+    assert "at least 2" in err
+    assert "Traceback" not in err
+
+
+def test_verify_all_rank_2_passes(capsys):
+    code, out, _ = run(capsys, "verify-all", "--max-rank", "2")
     assert code == 0
     assert "overall: pass" in out
 

@@ -1,16 +1,25 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bdsweyl
 from bdsweyl.bdspair import all_pairs, build_pair
 from bdsweyl.garland import (
     HPoly,
+    coroot,
     exp_series,
     grouplike_diff,
     h_alpha,
     newton_identity_holds,
     p_element,
     product_formula_diff,
+    root_failures,
 )
 
 B3 = build_pair("B", 3, rank=3)
@@ -26,25 +35,25 @@ def test_hpoly_arithmetic():
 
 def test_p_element_small_orders():
     a0 = B3.alpha0
-    assert p_element(B3, a0, 0) == HPoly.const(1)
-    h1 = h_alpha(B3, a0, 1)
-    assert p_element(B3, a0, 1) == h1.scale(-1)
-    h2 = h_alpha(B3, a0, 2)
+    assert p_element(coroot(B3, a0), 0) == HPoly.const(1)
+    h1 = h_alpha(coroot(B3, a0), 1)
+    assert p_element(coroot(B3, a0), 1) == h1.scale(-1)
+    h2 = h_alpha(coroot(B3, a0), 2)
     expected = (h1 * h1).scale(Fraction(1, 2)) - h2.scale(Fraction(1, 2))
-    assert p_element(B3, a0, 2) == expected
+    assert p_element(coroot(B3, a0), 2) == expected
 
 
 def test_h_alpha_expansion():
     # h of alpha_0 = h_2 + h_3 for B_3
-    poly = h_alpha(B3, B3.alpha0, 1)
+    poly = h_alpha(coroot(B3, B3.alpha0), 1)
     assert poly == HPoly.variable((2, 1)) + HPoly.variable((3, 1))
     with pytest.raises(ValueError):
-        h_alpha(B3, (1, 0, 1), 1)
+        coroot(B3, (1, 0, 1))
 
 
 def test_simple_root_series_uses_single_node():
     a1 = B3.rs.simple_root(1)
-    series = exp_series(B3, a1, 3)
+    series = exp_series(coroot(B3, a1), 3)
     for poly in series:
         for mono in poly.terms:
             assert all(key[0] == 1 for key in mono)
@@ -53,52 +62,107 @@ def test_simple_root_series_uses_single_node():
 def test_exp_series_matches_recursion():
     for pair in [B3, build_pair("G", 1, rank=2)]:
         for alpha in (pair.alpha0, pair.rs.theta):
-            series = exp_series(pair, alpha, 6)
+            series = exp_series(coroot(pair, alpha), 6)
             for r in range(7):
-                assert series[r] == p_element(pair, alpha, r)
+                assert series[r] == p_element(coroot(pair, alpha), r)
 
 
 def test_newton_identity():
     for pair in [B3, build_pair("G", 2, rank=2)]:
         for alpha in pair.rs.positive_roots:
             for r in range(1, 5):
-                assert newton_identity_holds(pair, alpha, r)
+                assert newton_identity_holds(coroot(pair, alpha), r)
 
 
 def test_degree_grading():
     for pair in [B3, build_pair("C", 1, rank=3)]:
         for r in range(0, 5):
-            poly = p_element(pair, pair.alpha0, r)
+            poly = p_element(coroot(pair, pair.alpha0), r)
             assert poly.t_degrees(pair.a_j) == ({pair.a_j * r} if r else {0})
 
 
 def test_product_formula_examples():
-    assert product_formula_diff(B3, B3.rs.simple_root(2), 4) is None
-    assert product_formula_diff(B3, B3.alpha0, 4) is None
+    assert product_formula_diff(coroot(B3, B3.rs.simple_root(2)), 4) is None
+    assert product_formula_diff(coroot(B3, B3.alpha0), 4) is None
     g2 = build_pair("G", 1, rank=2)
-    assert product_formula_diff(g2, g2.rs.theta, 3) is None
+    assert product_formula_diff(coroot(g2, g2.rs.theta), 3) is None
 
 
 def test_product_formula_all_small_pairs():
     for pair in all_pairs(3):
         for alpha in pair.rs.positive_roots:
-            assert product_formula_diff(pair, alpha, 4) is None
+            assert product_formula_diff(coroot(pair, alpha), 4) is None
 
 
 def test_grouplike():
-    assert grouplike_diff(B3, B3.alpha0, 3) is None
-    assert grouplike_diff(B3, B3.rs.theta, 0) is None
+    assert grouplike_diff(coroot(B3, B3.alpha0), 3) is None
+    assert grouplike_diff(coroot(B3, B3.rs.theta), 0) is None
     g2 = build_pair("G", 2, rank=2)
-    assert grouplike_diff(g2, g2.rs.theta, 3) is None
+    assert grouplike_diff(coroot(g2, g2.rs.theta), 3) is None
 
 
 def test_grouplike_order_one_is_primitivity():
     # at order 1 the identity is exactly primitivity of -H_alpha[1]
     alpha = B3.alpha0
-    p1 = p_element(B3, alpha, 1)
+    p1 = p_element(coroot(B3, alpha), 1)
     keys = {k for m in p1.terms for k in m}
     split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k) for k in keys}
     lhs = p1.substitute(split)
     left = HPoly({tuple((0,) + k for k in m): c for m, c in p1.terms.items()})
     right = HPoly({tuple((1,) + k for k in m): c for m, c in p1.terms.items()})
     assert lhs == left + right
+
+
+def test_caches_are_shared_by_equal_coroots_and_bounded():
+    # B3 at node 2 and at node 3 have the same positive roots, hence the same
+    # coroots: the second pass is answered from the caches.
+    p_element.cache_clear()
+    exp_series.cache_clear()
+    sizes = []
+    for j in (2, 3):
+        pair = build_pair("B", j, rank=3)
+        for alpha in pair.rs.positive_roots:
+            assert root_failures(pair, alpha, 3) == []
+        sizes.append((p_element.cache_info().currsize, exp_series.cache_info().currsize))
+    assert sizes[0] == sizes[1]
+    assert p_element.cache_info().maxsize is not None
+    assert exp_series.cache_info().maxsize is not None
+
+
+def test_series_check_survives_optimized_mode():
+    code = ("from bdsweyl import garland\n"
+            "garland.p_element = lambda c, r: garland.HPoly()\n"
+            "garland.exp_series((1,), 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode != 0
+    assert "series/recursion mismatch" in proc.stderr
+
+
+KEYS = [(1, 1), (1, 2), (2, 1)]
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+monomials = st.lists(st.sampled_from(KEYS), max_size=3).map(lambda ks: tuple(sorted(ks)))
+polys = st.dictionaries(monomials, small_fractions, max_size=4).map(HPoly)
+points = st.fixed_dictionaries({k: small_fractions for k in KEYS})
+
+
+def evaluate(poly, point):
+    """Value of the polynomial at a point, term by term without HPoly arithmetic."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        for key in m:
+            c *= point[key]
+        total += c
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys, max_size=4), polys, polys, st.fixed_dictionaries({k: polys for k in KEYS}),
+       points)
+def test_evaluation_is_a_ring_homomorphism(summands, p, q, mapping, point):
+    assert evaluate(HPoly.sum(summands), point) == sum(evaluate(x, point) for x in summands)
+    assert evaluate(p + q, point) == evaluate(p, point) + evaluate(q, point)
+    assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
+    inner = {k: evaluate(v, point) for k, v in mapping.items()}
+    assert evaluate(p.substitute(mapping), point) == evaluate(p, inner)

@@ -283,6 +283,26 @@ def test_verify_shelling_counterexample():
         verify_shelling(sc, [t1, t1])
 
 
+def _pairwise_maximal(facets):
+    """The literal O(F^2) maximality test: no facet lies in another object."""
+    return not any(a is not b and a <= b for a in facets for b in facets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=8))
+def test_maximality_check_matches_pairwise_loop(pool, picks):
+    # a pick either repeats an object of the pool or makes an equal copy of it
+    facets = tuple(frozenset(list(pool[i % len(pool)])) if copy else pool[i % len(pool)]
+                   for i, copy in picks)
+    try:
+        SimplicialComplex((), facets)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _pairwise_maximal(facets)
+
+
 def test_verify_shelling_disjoint_points_both_orders():
     pres = presentation(B3, EXAMPLE_578)
     sc = pres.facets()

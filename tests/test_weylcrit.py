@@ -167,6 +167,8 @@ def test_distinct_fractions_pool_bound():
     assert len(set(distinct_fractions(random.Random(5), FRACTION_POOL))) == FRACTION_POOL
     with pytest.raises(ValueError):
         distinct_fractions(random.Random(5), FRACTION_POOL + 1)
+    with pytest.raises(ValueError):
+        distinct_fractions(random.Random(5), -1)
 
 
 def test_ideal_point_randomized():
