@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .rootsys import ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, format_root, weyl_product
+from .rootsys import (ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact_quotient,
+                      format_root, weyl_product)
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class BdsPair:
         a0 = self.alpha0
         assert rs.is_root(a0) and min(a0) >= 0, "alpha_0 must be a positive root"
         assert a0[j - 1] == self.a_j, "a_j(alpha_0) must equal a_j"
-        assert rs.inner(a0, a0) == 2, "alpha_0 must be long"
+        assert rs.d_alpha(a0) == 1, "alpha_0 must be long"
         for i in self.i_complement:
-            assert rs.inner(a0, rs.simple_root(i)) <= 0
-        assert rs.inner(a0, rs.simple_root(j)) > 0
+            assert rs.pairing(a0, i) <= 0
+        assert rs.pairing(a0, j) > 0
 
     # -- simple system of the fixed-point subalgebra -----------------------
 
@@ -91,16 +92,8 @@ class BdsPair:
     @cached_property
     def g0_cartan(self) -> tuple[tuple[int, ...], ...]:
         """Cartan matrix of Delta_0 (entries <delta_q, delta_p^vee>)."""
-        rows = []
-        for dp in self.delta0:
-            sq = self.rs.inner(dp, dp)
-            row = []
-            for dq in self.delta0:
-                val = 2 * self.rs.inner(dq, dp) / sq
-                assert val.denominator == 1
-                row.append(int(val))
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(self.rs.coroot_pairing(dq, dp) for dq in self.delta0)
+                     for dp in self.delta0)
 
     @cached_property
     def g0_components(self) -> tuple[str, ...]:
@@ -148,7 +141,7 @@ class BdsPair:
             ok = True
             for d in self.delta0:
                 summ = tuple(x + y for x, y in zip(a, d))
-                if rs.inner(a, d) < 0 or rs.is_root(summ):
+                if rs.form(a, d) < 0 or rs.is_root(summ):
                     ok = False
                     break
             if ok:
@@ -188,13 +181,13 @@ class BdsPair:
             if entries:
                 admissible = [
                     p for p in order
-                    if rs.inner(beta, rs.simple_root(p)) > 0
+                    if rs.pairing(beta, p) > 0
                     and not rs.is_root(tuple(x + y for x, y in zip(beta, rs.simple_root(p))))
                 ]
                 assert admissible, f"no admissible reflection from {beta}"
                 i = admissible[0]
             else:
-                assert rs.inner(beta, rs.simple_root(self.j)) > 0
+                assert rs.pairing(beta, self.j) > 0
                 i = self.j
             entries.append((i, beta))
             beta = rs.reflect(i, beta)
@@ -222,25 +215,15 @@ class BdsPair:
 
     def g0_weight_values(self, v: Sequence[int]) -> dict[int, int]:
         """Values <v, delta^vee> over Delta_0, keyed by the Delta_0 labels."""
-        rs = self.rs
-        out = {}
-        for label, d in zip(self.delta0_labels, self.delta0):
-            val = 2 * rs.inner(v, d) / rs.inner(d, d)
-            assert val.denominator == 1
-            out[label] = int(val)
-        return out
+        return {label: self.rs.coroot_pairing(v, d)
+                for label, d in zip(self.delta0_labels, self.delta0)}
 
     def g0_coroot_coordinates(self, a: Sequence[int]) -> tuple[int, ...]:
         """Expansion of the coroot of a (a in R_0) over the coroots of Delta_0."""
-        rs = self.rs
-        coords = self.delta0_coordinates(a)
-        sq_a = rs.inner(a, a)
-        out = []
-        for m, d in zip(coords, self.delta0):
-            c = m * rs.inner(d, d) / sq_a
-            assert c.denominator == 1
-            out.append(int(c))
-        return tuple(out)
+        form = self.rs.form
+        sq_a = form(a, a)
+        return tuple(exact_quotient(m * form(d, d), sq_a, "Delta_0 coroot coefficient")
+                     for m, d in zip(self.delta0_coordinates(a), self.delta0))
 
     def g0_weyl_dim(self, weight: Mapping[int, int]) -> int:
         """Weyl dimension formula for the fixed-point subalgebra.

@@ -3,14 +3,21 @@
 Roots are stored as integer coordinate vectors in the simple-root basis
 (Bourbaki node numbering, nodes are 1-based).  The bilinear form is the
 symmetrized Cartan form normalized so that long roots have squared length 2.
-All arithmetic is exact (integers and fractions.Fraction); there is no
-Euclidean embedding anywhere.
+With L = lcm(d_i) the scaled form L * (a, b) is an integer on the root
+lattice (`RootSystem.form`), so d_alpha, coroot coefficients, Weyl
+dimensions and every pairing <v, alpha^vee> are integer quotients taken by
+`exact_quotient`, the one integrality check, which raises even under
+`python -O`.  Here `Fraction` is left only in the symmetrizer ratios and the
+value of `inner`; in the package, only the inverse of the Delta_0 basis, the
+Garland coefficients and the evaluation parameters are rational.  There is
+no Euclidean embedding anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple
 
 Root = Tuple[int, ...]
@@ -111,6 +118,10 @@ class RootSystem:
         self.rank = rank
         self.cartan = cartan_matrix(type_letter, rank)
         self.d = symmetrizer(self.cartan)
+        # L * (alpha_p, alpha_q) = (L / d_p) * C[p][q], with L = lcm(d)
+        self.scale = lcm(*self.d)
+        self.gram = tuple(tuple(self.scale // dp * c for c in row)
+                          for dp, row in zip(self.d, self.cartan))
         self.roots = self._close_roots()
         self._root_set = frozenset(self.roots)
         self.positive_roots = tuple(a for a in self.roots if min(a) >= 0)
@@ -122,7 +133,7 @@ class RootSystem:
             raise AssertionError("highest root is not unique")
         if any(self.pairing(self.theta, i) < 0 for i in self.nodes):
             raise AssertionError("highest root is not dominant")
-        if self.inner(self.theta, self.theta) != 2:
+        if self.form(self.theta, self.theta) != 2 * self.scale:
             raise AssertionError("(theta, theta) != 2")
         self.marks = self.theta
 
@@ -158,16 +169,22 @@ class RootSystem:
 
     # -- bilinear form and coroots ---------------------------------------
 
+    def form(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """L * (a, b): the integer form on the root lattice, L = `scale`."""
+        total = 0
+        for p, ap in enumerate(a):
+            if ap:
+                row = self.gram[p]
+                total += ap * sum(row[q] * bq for q, bq in enumerate(b) if bq)
+        return total
+
     def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
         """Bilinear form on the root lattice, (theta, theta) = 2."""
-        total = Fraction(0)
-        for p, ap in enumerate(a):
-            if ap == 0:
-                continue
-            row = self.cartan[p]
-            s = sum(row[q] * bq for q, bq in enumerate(b) if bq != 0)
-            total += Fraction(ap * s, self.d[p])
-        return total
+        return Fraction(self.form(a, b), self.scale)
+
+    def coroot_pairing(self, v: Sequence[int], alpha: Sequence[int]) -> int:
+        """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha) for any nonzero alpha."""
+        return exact_quotient(2 * self.form(v, alpha), self.form(alpha, alpha), "coroot pairing")
 
     def pairing(self, v: Sequence[int], i: int) -> int:
         """<v, alpha_i^vee> for v in root coordinates."""
@@ -178,17 +195,11 @@ class RootSystem:
         """d_alpha = 2/(alpha, alpha); 1 for long roots, 2 or 3 for short ones."""
         if not self.is_root(a):
             raise ValueError(f"{tuple(a)} is not a root")
-        val = Fraction(2) / self.inner(a, a)
-        assert val.denominator == 1
-        return int(val)
+        return exact_quotient(2 * self.scale, self.form(a, a), "d_alpha")
 
     def comark(self, i: int, a: Sequence[int]) -> int:
         """Coefficient of h_i in h_alpha, i.e. a_i(alpha) * d_alpha / d_i."""
-        d_a = self.d_alpha(a)
-        val = Fraction(a[i - 1] * d_a, self.d[i - 1])
-        if val.denominator != 1:
-            raise AssertionError(f"non-integral coroot coefficient for {tuple(a)} at node {i}")
-        return int(val)
+        return exact_quotient(a[i - 1] * self.d_alpha(a), self.d[i - 1], "coroot coefficient")
 
     def coroot_coordinates(self, a: Sequence[int]) -> tuple[int, ...]:
         """Expansion h_alpha = sum_i c_i h_i over all nodes."""
@@ -271,9 +282,16 @@ def weyl_product(coroots: Iterable[Sequence[int]], vals: Sequence[int]) -> int:
         s = sum(cor)
         num *= s + sum(c * v for c, v in zip(cor, vals))
         den *= s
-    dim, rem = divmod(num, den)
-    assert rem == 0, "Weyl dimension did not come out integral"
-    return dim
+    return exact_quotient(num, den, "Weyl dimension")
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den for a quantity `what` that must be an integer.  The check is
+    an explicit raise, so it holds under `python -O` too."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"non-integral {what}: {num}/{den}")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +302,7 @@ def build(type_letter: str, rank: int) -> RootSystem:
 
 def reflect_by_root(rs: RootSystem, alpha: Sequence[int], v: Sequence[int]) -> Root:
     """Reflection s_alpha on a root-lattice vector, for an arbitrary root alpha."""
-    coeff = 2 * rs.inner(v, alpha) / rs.inner(alpha, alpha)
-    assert coeff.denominator == 1
-    c = int(coeff)
+    c = rs.coroot_pairing(v, alpha)
     return tuple(x - c * a for x, a in zip(v, alpha))
 
 

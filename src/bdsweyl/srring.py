@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 from operator import and_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -286,17 +285,31 @@ class SRPresentation:
         """Minimal generators of the monomial ideal: the inclusion-minimal
         sets of variables (one per node) whose weighted level sum exceeds
         lam(h_0).  Single-variable violations are absorbed into the caps,
-        so every generator has at least two variables."""
+        so every generator has at least two variables.  A violating level
+        tuple is minimal iff total - h0 <= least, the smallest w * r chosen;
+        along the walk total only grows and least only shrinks, so a prefix
+        with total - h0 > least is pruned.  The walk keeps an explicit stack:
+        a recursive closure reading self would be a reference cycle.
+        """
         nodes = self.constrained_nodes
-        out = []
-        ranges = [range(self.caps[i] + 1) for i in nodes]
         weights = [self.comarks[i - 1] for i in nodes]
-        for levels in product(*ranges):
-            total = sum(w * r for w, r in zip(weights, levels))
-            if total <= self.h0:
+        caps = [self.caps[i] for i in nodes]
+        out = []
+        # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
+        stack = [(0, 0, self.h0 + 1, ())]
+        while stack:
+            idx, total, least, levels = stack.pop()
+            if idx == len(nodes):
+                if total > self.h0:
+                    out.append(frozenset(self._var(i, r) for i, r in zip(nodes, levels) if r > 0))
                 continue
-            if all(r == 0 or total - w * r <= self.h0 for w, r in zip(weights, levels)):
-                out.append(frozenset(self._var(i, r) for i, r in zip(nodes, levels) if r > 0))
+            w = weights[idx]
+            for r in range(caps[idx] + 1):
+                t = total + w * r
+                m = min(least, w * r) if r else least
+                if t - self.h0 > m:
+                    break  # t - m never shrinks as r grows
+                stack.append((idx + 1, t, m, levels + (r,)))
         return tuple(sorted(out, key=lambda g: sorted(g)))
 
     def face_predicate(self, sigma: Iterable[SRVariable]) -> bool:
@@ -314,23 +327,22 @@ class SRPresentation:
     # -- simplicial complex --------------------------------------------------
 
     def _facet_tuples(self) -> list[dict[int, int]]:
-        """Per-node top levels of the maximal faces, on the constrained nodes."""
+        """Per-node top levels of the maximal faces, on the constrained nodes
+        (an explicit-stack walk, like `generators`)."""
         nodes = self.constrained_nodes
-        weights = {i: self.comarks[i - 1] for i in nodes}
+        weights = [self.comarks[i - 1] for i in nodes]
+        caps = [self.caps[i] for i in nodes]
         out: list[dict[int, int]] = []
-
-        def rec(idx: int, budget: int, tops: dict[int, int]):
+        stack = [(0, self.h0, ())]
+        while stack:
+            idx, budget, tops = stack.pop()
             if idx == len(nodes):
-                if all(tops[i] == self.caps[i] or weights[i] > budget for i in nodes):
-                    out.append(dict(tops))
-                return
-            i = nodes[idx]
-            for m in range(0, min(self.caps[i], budget // weights[i]) + 1):
-                tops[i] = m
-                rec(idx + 1, budget - weights[i] * m, tops)
-            del tops[i]
-
-        rec(0, self.h0, {})
+                if all(m == cap or w > budget for m, cap, w in zip(tops, caps, weights)):
+                    out.append(dict(zip(nodes, tops)))
+                continue
+            w = weights[idx]
+            for m in range(min(caps[idx], budget // w) + 1):
+                stack.append((idx + 1, budget - w * m, tops + (m,)))
         return out
 
     def _facet_from_tops(self, tops: Mapping[int, int]) -> frozenset:
@@ -353,8 +365,8 @@ class SRPresentation:
         """Krull dimension = maximal facet cardinality; checked against the
         closed form lam(h_0) + sum over mark-zero nodes when it applies."""
         dim = max(len(f) for f in self.facets().facets)
-        if self.jac_zero:
-            assert dim == self.d_lambda()
+        if self.jac_zero and dim != self.d_lambda():
+            raise AssertionError(f"krull_dim: maximal facet size {dim} != d_lambda {self.d_lambda()}")
         return dim
 
     def d_lambda(self) -> int:

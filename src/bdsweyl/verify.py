@@ -137,6 +137,10 @@ def check_graded_pieces(max_rank: int) -> CheckResult:
         for k in range(1, pair.a_j):
             if not pair.gk_irreducibility_check(k):
                 return CheckResult("graded piece dimensions", False, f"{pair.describe()} k={k}")
+            for m in range(1, k):
+                if not pair.bracket_weight_check(k, m):
+                    return CheckResult("graded piece dimensions", False,
+                                       f"{pair.describe()} R_{k} != R_{k - m} + R_{m}")
     return CheckResult("graded piece dimensions", True)
 
 

@@ -262,18 +262,6 @@ def local_weyl_dim_bn(pair: BdsPair, i: int, r: int) -> int:
     return untwisted_fundamental_local_dim(n, i) ** r
 
 
-def local_weyl_dim_bn_weight(pair: BdsPair, lam: Weight0) -> int:
-    """Same as local_weyl_dim_bn, taking the weight itself (must be r times
-    one fundamental subalgebra weight)."""
-    support = [k for k in pair.delta0_labels if lam[k] > 0]
-    if len(support) > 1:
-        raise ValueError(f"{lam!r} is not a multiple of one fundamental weight")
-    if not support:
-        return 1
-    label = support[0]
-    return local_weyl_dim_bn(pair, label, lam[label])
-
-
 def spin_module_dim(pair: BdsPair, r: int) -> int:
     """Dimension of the irreducible module of weight r times the spin-node
     fundamental weight of the fixed-point subalgebra (Weyl dimension formula)."""
@@ -336,10 +324,3 @@ _RECORDED = (
 def record_constants() -> tuple[RecordedConstant, ...]:
     """Regression constants recorded from the source analysis, not computed here."""
     return _RECORDED
-
-
-def recorded_dim(pair_name: str, weight: str, ideal_kind: str) -> int | None:
-    for rec in _RECORDED:
-        if (rec.pair_name, rec.weight, rec.ideal_kind) == (pair_name, weight, ideal_kind):
-            return rec.dim
-    return None

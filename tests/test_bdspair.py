@@ -1,6 +1,12 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdsweyl import verify
 from bdsweyl.bdspair import (
+    BdsPair,
     all_pairs,
     alpha0_by_scan,
     build_pair,
@@ -189,11 +195,16 @@ def test_gk_irreducibility():
             assert pair.gk_irreducibility_check(k)
 
 
-def test_bracket_weight_check():
+def test_bracket_weight_check(monkeypatch):
     for pair in all_pairs(5):
         for k in range(2, pair.a_j):
             for m in range(1, k):
                 assert pair.bracket_weight_check(k, m)
+    assert verify.check_graded_pieces(2).ok
+    monkeypatch.setattr(BdsPair, "bracket_weight_check", lambda self, k, m: False)
+    result = verify.check_graded_pieces(2)  # G2 at node 1 is the pair with a_j = 3
+    assert not result.ok
+    assert result.detail.endswith("R_2 != R_1 + R_1")
 
 
 def test_comark_one_forces_all_comarks_small():
@@ -215,3 +226,46 @@ def test_g0_weyl_dim_validates():
         pair.g0_weyl_dim({3: 1})  # 3 = j is not a Delta_0 label
     with pytest.raises(ValueError):
         pair.g0_weyl_dim({1: -1})
+
+
+# Oracle: the rational form (a, b) = sum_pq a_p C[p][q] b_q / d_p and the
+# structure constants as Fraction quotients of it, without the integer form.
+def oracle_inner(rs, a, b):
+    return sum(Fraction(ap * rs.cartan[p][q] * bq, rs.d[p])
+               for p, ap in enumerate(a) for q, bq in enumerate(b) if rs.cartan[p][q])
+
+
+def oracle_pairing(rs, v, alpha):
+    return 2 * oracle_inner(rs, v, alpha) / oracle_inner(rs, alpha, alpha)
+
+
+ALL_PAIRS_8 = all_pairs(8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_structure_constants_match_fraction_oracle(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    rs = pair.rs
+    alpha = data.draw(st.sampled_from(rs.roots), label="alpha")
+    v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank),
+                        label="v"))
+    i = data.draw(st.sampled_from(rs.nodes), label="i")
+    a0 = data.draw(st.sampled_from(pair.graded_roots(0)), label="a0")
+    # an int equals a Fraction only when the Fraction is that integer
+    assert rs.inner(v, alpha) == oracle_inner(rs, v, alpha)
+    assert rs.coroot_pairing(v, alpha) == oracle_pairing(rs, v, alpha)
+    d_alpha = 2 / oracle_inner(rs, alpha, alpha)
+    assert rs.d_alpha(alpha) == d_alpha
+    assert rs.comark(i, alpha) == alpha[i - 1] * d_alpha / rs.d[i - 1]
+    c = oracle_pairing(rs, v, alpha)
+    assert reflect_by_root(rs, alpha, v) == tuple(x - c * a for x, a in zip(v, alpha))
+    assert reflect_by_root(rs, rs.simple_root(i), v) == rs.reflect(i, v)
+    delta = pair.delta0
+    assert pair.g0_cartan == tuple(tuple(oracle_pairing(rs, dq, dp) for dq in delta)
+                                   for dp in delta)
+    assert pair.g0_weight_values(v) == {label: oracle_pairing(rs, v, d)
+                                        for label, d in zip(pair.delta0_labels, delta)}
+    sq = oracle_inner(rs, a0, a0)
+    assert pair.g0_coroot_coordinates(a0) == tuple(
+        m * oracle_inner(rs, d, d) / sq for m, d in zip(pair.delta0_coordinates(a0), delta))

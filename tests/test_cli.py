@@ -168,6 +168,33 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+def run_optimized(code):
+    """Run `code` under `python -O`, where bare asserts are stripped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_non_integral_quotient_fails_under_optimized_mode():
+    # d_3 = 3 does not divide a_3(alpha_0) * d_alpha = 2 for the B3 pair at node 3
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, rootsys\n"
+                         "rootsys.build('B', 3).d = (1, 1, 3)\n"
+                         "sys.exit(cli.main(['pair', 'B', '3', '--node', '3']))\n")
+    assert proc.returncode == 1
+    assert "property failure: non-integral coroot coefficient: 2/3" in proc.stderr
+
+
+def test_krull_dim_failure_survives_optimized_mode():
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "srring.SRPresentation.d_lambda = lambda self: -1\n"
+                         "sys.exit(cli.main(['verify-all', '--max-rank', '4']))\n")
+    assert proc.returncode == 1
+    assert "property failure: krull_dim: " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_garland_failure_reported_by_both_routes(capsys, monkeypatch):
     monkeypatch.setattr(garland, "newton_identity_holds", lambda c, r: False)
     code, out, _ = run(capsys, "garland-check", "G", "2", "--node", "2", "--order", "2",

@@ -8,9 +8,15 @@ for an intended change of output.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdsweyl
 from bdsweyl.cli import main
 
 D8_WEIGHT = "h1=6,h2=6,h3=6,h5=6,h6=6,h7=6,h8=6,h0=24"
@@ -52,3 +58,27 @@ def test_golden_json_stdout(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Replays the corpus in one `python -O` process, where bare asserts are
+# stripped, so no printed byte may depend on an assert statement.
+OPTIMIZED_REPLAY = """
+import contextlib, hashlib, io, json, sys
+from bdsweyl.cli import main
+out = []
+for command in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split() + ["--format", "json"])
+    out.append([code, hashlib.sha256(buf.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_golden_json_stdout_under_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    commands = [c for c, _ in GOLDEN]
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPLAY, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, digest] for _, digest in GOLDEN]

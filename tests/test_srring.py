@@ -1,5 +1,7 @@
+import gc
 import random
-from itertools import combinations
+import weakref
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,57 @@ def test_generator_levels_within_caps_and_one_per_node():
             assert len(g) >= 2
             for v in g:
                 assert 1 <= v.level <= pres.caps[v.node]
+
+
+# Oracle: every level tuple of the constrained nodes, kept when it violates
+# lam(h_0) and dropping any one of its variables does not.
+def generators_by_product(pres):
+    nodes = pres.constrained_nodes
+    weights = [pres.comarks[i - 1] for i in nodes]
+    out = set()
+    for levels in product(*(range(pres.caps[i] + 1) for i in nodes)):
+        total = sum(w * r for w, r in zip(weights, levels))
+        if total > pres.h0 and all(r == 0 or total - w * r <= pres.h0
+                                   for w, r in zip(weights, levels)):
+            out.add(frozenset(SRVariable(i, r, pres.pair.a_j * r)
+                              for i, r in zip(nodes, levels) if r))
+    return out
+
+
+ALL_PAIRS_6 = all_pairs(6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generators_match_product_enumeration(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_6), label="pair")
+    lam = {k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.i_complement}
+    lam[0] = data.draw(st.integers(0, 8), label="h0")
+    pres = presentation(pair, Weight0(lam))
+    gens = pres.generators
+    assert set(gens) == generators_by_product(pres)
+    assert list(gens) == sorted(gens, key=sorted)
+
+
+@pytest.mark.parametrize("derive", [lambda pres: pres.facets(), lambda pres: pres.generators,
+                                    lambda pres: pres.flags(), lambda pres: pres.hilbert_series(12)],
+                         ids=["facets", "generators", "flags", "hilbert_series"])
+def test_presentation_is_freed_by_refcount(derive):
+    # With the cycle collector off, a reference cycle through the presentation,
+    # such as a recursive closure that reads self, would keep it alive.
+    cases = [(B3, Weight0({1: 1, 2: 2, 0: 3})),  # canonical shelling
+             (build_pair("C", 1, rank=3), Weight0({2: 2, 3: 2, 0: 2})),  # shelling search
+             (build_pair("G", 2, rank=2), Weight0({1: 1, 0: 2}))]  # comark 2 at j
+    gc.disable()
+    try:
+        for pair, lam in cases:
+            pres = presentation(pair, lam)
+            derive(pres)
+            ref = weakref.ref(pres)
+            del pres
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rejects_weight_with_bad_keys():

@@ -20,10 +20,8 @@ from bdsweyl.weylcrit import (
     is_alambda_trivial,
     is_global_weyl_irreducible,
     local_weyl_dim_bn,
-    local_weyl_dim_bn_weight,
     local_weyl_dim_report,
     record_constants,
-    recorded_dim,
     sl2_local_weyl_basis,
     spin_module_dim,
     untwisted_fundamental_local_dim,
@@ -233,13 +231,6 @@ def test_local_weyl_dims_bn():
         local_weyl_dim_bn(build_pair("G", 1, rank=2), 1, 1)
 
 
-def test_local_weyl_dim_weight_form():
-    assert local_weyl_dim_bn_weight(B3, Weight0({0: 2})) == 64
-    assert local_weyl_dim_bn_weight(B3, Weight0()) == 1
-    with pytest.raises(ValueError, match="fundamental"):
-        local_weyl_dim_bn_weight(B3, Weight0({1: 1, 0: 1}))
-
-
 def test_spin_module_dim():
     assert spin_module_dim(B3, 1) == 4
     assert spin_module_dim(B3, 2) == 10  # Sym^2 of the A3 natural module
@@ -261,9 +252,6 @@ def test_local_dim_report_surfaces_mismatch():
 
 
 def test_record_constants():
-    assert recorded_dim("B3", "h2=1,h0=1", "generic") == 22
-    assert recorded_dim("B3", "h2=1,h0=1", "special") == 32
-    assert recorded_dim("B4", "h2=1,h0=1", "generic") is None
     assert all(not rec.computed for rec in record_constants())
     special = next(r for r in record_constants() if r.ideal_kind == "special")
     assert "thesis" in special.note
