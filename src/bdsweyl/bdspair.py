@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .rootsys import (ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact_quotient,
-                      format_root, weyl_product)
+                      format_root, require, weyl_product)
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,17 @@ class BdsPair:
         self._check_alpha0()
         self.marks_alpha0 = self.alpha0
         self.comarks_alpha0 = rs.coroot_coordinates(self.alpha0)
+        self._thetas: dict[int, Root] = {}  # theta_k by k, each scanned once
 
     def _check_alpha0(self) -> None:
         rs, j = self.rs, self.j
         a0 = self.alpha0
-        assert rs.is_root(a0) and min(a0) >= 0, "alpha_0 must be a positive root"
-        assert a0[j - 1] == self.a_j, "a_j(alpha_0) must equal a_j"
-        assert rs.d_alpha(a0) == 1, "alpha_0 must be long"
+        require(rs.is_root(a0) and min(a0) >= 0, "alpha_0 must be a positive root")
+        require(a0[j - 1] == self.a_j, "a_j(alpha_0) must equal a_j")
+        require(rs.d_alpha(a0) == 1, "alpha_0 must be long")
         for i in self.i_complement:
-            assert rs.pairing(a0, i) <= 0
-        assert rs.pairing(a0, j) > 0
+            require(rs.pairing(a0, i) <= 0, "alpha_0 must pair non-positively with alpha_{}^vee", i)
+        require(rs.pairing(a0, j) > 0, "alpha_0 must pair positively with alpha_{}^vee", j)
 
     # -- simple system of the fixed-point subalgebra -----------------------
 
@@ -132,28 +133,27 @@ class BdsPair:
 
     def theta_k(self, k: int) -> Root:
         """The unique alpha in R_k^+ orthogonal-or-positive against Delta_0 with
-        alpha + delta never a root (the dominant element of the graded piece)."""
+        alpha + delta never a root (the dominant element of the graded piece).
+        Scanned and checked once per pair and grade, then kept."""
         if not 1 <= k < self.a_j:
             raise ValueError(f"grade {k} out of range 1..{self.a_j - 1}")
+        if k in self._thetas:
+            return self._thetas[k]
         rs = self.rs
-        cands = []
-        for a in self.graded_positive(k):
-            ok = True
-            for d in self.delta0:
-                summ = tuple(x + y for x, y in zip(a, d))
-                if rs.form(a, d) < 0 or rs.is_root(summ):
-                    ok = False
-                    break
-            if ok:
-                cands.append(a)
-        if len(cands) != 1:
-            raise AssertionError(f"grade {k}: expected a unique dominant element, got {cands}")
+        positive = self.graded_positive(k)
+        cands = [a for a in positive
+                 if not any(rs.form(a, d) < 0 or rs.is_root(tuple(x + y for x, y in zip(a, d)))
+                            for d in self.delta0)]
+        require(len(cands) == 1, "theta_{}: expected a unique dominant element, got {}", k, cands)
         th = cands[0]
-        assert all(c > 0 for c in th), "dominant graded element must have full support"
+        require(all(c > 0 for c in th), "theta_{}: dominant graded element must have full support", k)
         up = tuple(x + y for x, y in zip(th, rs.simple_root(self.j)))
-        assert rs.is_root(up) and min(up) >= 0
-        heights = [sum(a) for a in self.graded_positive(k)]
-        assert heights.count(max(heights)) == 1 and sum(th) == max(heights)
+        require(rs.is_root(up) and min(up) >= 0,
+                "theta_{}: theta_k + alpha_j must be a positive root", k)
+        heights = [sum(a) for a in positive]
+        require(heights.count(max(heights)) == 1 and sum(th) == max(heights),
+                "theta_{}: must be the unique highest root of R_k^+", k)
+        self._thetas[k] = th
         return th
 
     # -- reflection chain ----------------------------------------------------
@@ -184,14 +184,14 @@ class BdsPair:
                     if rs.pairing(beta, p) > 0
                     and not rs.is_root(tuple(x + y for x, y in zip(beta, rs.simple_root(p))))
                 ]
-                assert admissible, f"no admissible reflection from {beta}"
+                require(admissible, "reflection chain: no admissible reflection from {}", beta)
                 i = admissible[0]
             else:
-                assert rs.pairing(beta, self.j) > 0
+                require(rs.pairing(beta, self.j) > 0, "reflection chain: <alpha_0, alpha_j^vee> <= 0")
                 i = self.j
             entries.append((i, beta))
             beta = rs.reflect(i, beta)
-            assert rs.is_root(beta) and min(beta) >= 0, "chain left the positive roots"
+            require(rs.is_root(beta) and min(beta) >= 0, "reflection chain left the positive roots")
         return ReflectionChain(tuple(entries))
 
     # -- the fixed-point subalgebra as a root subsystem ----------------------
@@ -238,7 +238,7 @@ class BdsPair:
         if any(v < 0 for v in vals):
             raise ValueError(f"weight {weight} is not dominant for the subalgebra")
         coroots = [self.g0_coroot_coordinates(a) for a in self.graded_positive(0)]
-        assert all(c >= 0 for cor in coroots for c in cor)
+        require(all(c >= 0 for cor in coroots for c in cor), "g0_weyl_dim: negative Delta_0 coroot")
         return weyl_product(coroots, vals)
 
     def gk_irreducibility_check(self, k: int) -> bool:
@@ -246,8 +246,7 @@ class BdsPair:
         subalgebra module generated by its dominant element theta_k."""
         th = self.theta_k(k)
         weight = self.g0_weight_values(th)
-        if any(v < 0 for v in weight.values()):
-            raise AssertionError(f"theta_{k} is not Delta_0-dominant: {weight}")
+        require(all(v >= 0 for v in weight.values()), "theta_{} is not Delta_0-dominant: {}", k, weight)
         return self.g0_weyl_dim(weight) == len(self.graded_roots(k))
 
     def bracket_weight_check(self, k: int, m: int) -> bool:
@@ -318,7 +317,7 @@ def alpha0_by_scan(rs: RootSystem, j: int) -> Root:
         if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in r0_pos if b != a):
             simple_sys.append(a)
     extras = [a for a in simple_sys if sum(a) > 1]
-    assert len(extras) == 1, f"expected one non-simple element, got {extras}"
+    require(len(extras) == 1, "alpha0_by_scan: expected one non-simple element, got {}", extras)
     return extras[0]
 
 
@@ -385,15 +384,18 @@ def _classify_component(cartan: Sequence[Sequence[int]]) -> str:
     Rank-2 double edges report as B2 (= C2) and rank-3 D-shapes as A3;
     candidates are tried in the order A, B, C, D, E, F, G.
     """
-    m = recorded = len(cartan)
+    m = len(cartan)
+    name = None
     for letter in "ABCDEFG":
         try:
             template = cartan_matrix(letter, m)
         except ValueError:
             continue
         if _cartan_isomorphic(cartan, template):
-            return f"{letter}{recorded}"
-    raise AssertionError(f"component {cartan} matches no simple type")
+            name = f"{letter}{m}"
+            break
+    require(name is not None, "component {} matches no simple type", cartan)
+    return name
 
 
 def component_root_count(name: str) -> int:

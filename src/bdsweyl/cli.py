@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
@@ -230,7 +231,9 @@ def cmd_verify_all(args):
     return payload, text, 0 if payload["status"] == "pass" else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every `main`."""
     parser = argparse.ArgumentParser(
         prog="bdsweyl",
         description="Exact computations for Borel-de Siebenthal pairs, the "

@@ -23,6 +23,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .bdspair import BdsPair
+from .rootsys import require
 
 Key = tuple  # (i, p) for plain generators, (side, i, p) inside tensor squares
 Monomial = tuple  # sorted tuple of keys, with repetition
@@ -86,10 +87,6 @@ class HPoly:
         return HPoly.sum(reduce(lambda term, key: term * mapping[key], m, HPoly.const(c))
                          for m, c in self.terms.items())
 
-    def t_degrees(self, a_j: int) -> set[int]:
-        """Total t-degrees of the monomials, with H[i,p] of degree a_j * p."""
-        return {a_j * sum(key[-1] for key in m) for m in self.terms}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -143,8 +140,7 @@ def exp_series(c: Coroot, N: int) -> tuple[HPoly, ...]:
         powers.append([x.scale(Fraction(1, m)) for x in _series_mul(powers[-1], a, N)])
     out = tuple(HPoly.sum(col) for col in zip(*powers))
     for r in range(N + 1):
-        if out[r] != p_element(c, r):
-            raise AssertionError(f"series/recursion mismatch at u^{r}")
+        require(out[r] == p_element(c, r), "series/recursion mismatch at u^{}", r)
     return out
 
 

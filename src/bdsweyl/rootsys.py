@@ -6,11 +6,12 @@ symmetrized Cartan form normalized so that long roots have squared length 2.
 With L = lcm(d_i) the scaled form L * (a, b) is an integer on the root
 lattice (`RootSystem.form`), so d_alpha, coroot coefficients, Weyl
 dimensions and every pairing <v, alpha^vee> are integer quotients taken by
-`exact_quotient`, the one integrality check, which raises even under
-`python -O`.  Here `Fraction` is left only in the symmetrizer ratios and the
-value of `inner`; in the package, only the inverse of the Delta_0 basis, the
-Garland coefficients and the evaluation parameters are rational.  There is
-no Euclidean embedding anywhere.
+`exact_quotient`, the one integrality check.  Every internal invariant of
+the package, that one included, fails through `require`, which raises by name
+and the same under `python -O`.  Here `Fraction` is left only in the
+symmetrizer ratios and the value of `inner`; in the package, only the inverse
+of the Delta_0 basis, the Garland coefficients and the evaluation parameters
+are rational.  There is no Euclidean embedding anywhere.
 """
 
 from __future__ import annotations
@@ -126,15 +127,14 @@ class RootSystem:
         self._root_set = frozenset(self.roots)
         self.positive_roots = tuple(a for a in self.roots if min(a) >= 0)
         neg = frozenset(self._neg(a) for a in self.positive_roots)
-        if len(self.positive_roots) * 2 != len(self.roots) or not neg.isdisjoint(self.positive_roots):
-            raise AssertionError("roots do not split into positive and negative halves")
+        require(len(self.positive_roots) * 2 == len(self.roots) and neg.isdisjoint(self.positive_roots),
+                "roots do not split into positive and negative halves")
         self.theta = max(self.positive_roots, key=sum)
-        if sum(1 for a in self.positive_roots if sum(a) == sum(self.theta)) != 1:
-            raise AssertionError("highest root is not unique")
-        if any(self.pairing(self.theta, i) < 0 for i in self.nodes):
-            raise AssertionError("highest root is not dominant")
-        if self.form(self.theta, self.theta) != 2 * self.scale:
-            raise AssertionError("(theta, theta) != 2")
+        heights = [sum(a) for a in self.positive_roots]
+        require(heights.count(sum(self.theta)) == 1, "highest root is not unique")
+        require(all(self.pairing(self.theta, i) >= 0 for i in self.nodes),
+                "highest root is not dominant")
+        require(self.form(self.theta, self.theta) == 2 * self.scale, "(theta, theta) != 2")
         self.marks = self.theta
 
     # -- basic structure -------------------------------------------------
@@ -160,8 +160,8 @@ class RootSystem:
                     seen.add(b)
                     queue.append(b)
         expected = ROOT_COUNTS[self.type_letter](self.rank)
-        if len(seen) != expected:
-            raise AssertionError(f"reflection closure gave {len(seen)} roots, expected {expected}")
+        require(len(seen) == expected, "reflection closure gave {} roots, expected {}",
+                len(seen), expected)
         return tuple(sorted(seen))
 
     def is_root(self, v: Sequence[int]) -> bool:
@@ -286,12 +286,17 @@ def weyl_product(coroots: Iterable[Sequence[int]], vals: Sequence[int]) -> int:
 
 
 def exact_quotient(num: int, den: int, what: str) -> int:
-    """num / den for a quantity `what` that must be an integer.  The check is
-    an explicit raise, so it holds under `python -O` too."""
+    """num / den for a quantity `what` that must be an integer."""
     q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"non-integral {what}: {num}/{den}")
+    require(not r, "non-integral {}: {}/{}", what, num, den)
     return q
+
+
+def require(ok: bool, message: str, *args) -> None:
+    """Raise AssertionError(message) unless `ok`; the one way an invariant fails, kept by
+    `python -O`.  `message` leads with the invariant's name and takes `args` only on failure."""
+    if not ok:
+        raise AssertionError(message.format(*args) if args else message)
 
 
 @lru_cache(maxsize=None)

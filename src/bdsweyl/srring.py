@@ -25,6 +25,7 @@ from operator import and_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
+from .rootsys import require
 
 
 def parse_weight_spec(spec: str) -> dict[int, int]:
@@ -131,9 +132,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) <= 1
 
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
 
 def verify_shelling(complex_: SimplicialComplex, order: Sequence[frozenset]) -> bool:
     """Literal shelling test: each facet must meet the union of the earlier
@@ -148,9 +146,10 @@ def verify_shelling(complex_: SimplicialComplex, order: Sequence[frozenset]) -> 
     return True
 
 
-def find_shelling(complex_: SimplicialComplex, budget: int = 20000) -> tuple[frozenset, ...] | None:
-    """Bounded backtracking search for a shelling order; None means 'not found
-    within budget', never 'not shellable'."""
+def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
+    """Backtracking search for a shelling order, bounded by `budget` candidate
+    steps; None means 'not found within budget', never 'not shellable'."""
+    budget = 20000
     facets = list(complex_.facets)
     if len(facets) <= 1:
         return tuple(facets)
@@ -212,8 +211,9 @@ class HilbertSeries:
     closed_form: ClosedForm | None = None
 
     def __post_init__(self):
-        assert self.coefficients[0] == 1
-        assert all(c >= 0 for c in self.coefficients)
+        coeffs = self.coefficients
+        require(coeffs[0] == 1, "Hilbert series: constant coefficient {} != 1", coeffs[0])
+        require(all(c >= 0 for c in coeffs), "Hilbert series: negative coefficient in {}", coeffs)
 
 
 class SRPresentation:
@@ -365,8 +365,9 @@ class SRPresentation:
         """Krull dimension = maximal facet cardinality; checked against the
         closed form lam(h_0) + sum over mark-zero nodes when it applies."""
         dim = max(len(f) for f in self.facets().facets)
-        if self.jac_zero and dim != self.d_lambda():
-            raise AssertionError(f"krull_dim: maximal facet size {dim} != d_lambda {self.d_lambda()}")
+        if self.jac_zero:
+            d = self.d_lambda()
+            require(dim == d, "krull_dim: maximal facet size {} != d_lambda {}", dim, d)
         return dim
 
     def d_lambda(self) -> int:
@@ -375,7 +376,7 @@ class SRPresentation:
 
     # -- Hilbert series --------------------------------------------------------
 
-    def hilbert_series(self, D: int = 24) -> HilbertSeries:
+    def hilbert_series(self, D: int) -> HilbertSeries:
         """Graded dimensions to degree D, expanded from the rational form
         N(t) / prod_v (1 - t^deg v) built by `_closed_form`.
 
@@ -390,7 +391,7 @@ class SRPresentation:
         closed = None
         if self.jac_zero:
             closed = ClosedForm(*map(tuple, _cancel(unreduced.numerator, unreduced.denominator)))
-            assert closed.coefficients(D) == coeffs
+            require(closed.coefficients(D) == coeffs, "hilbert_series: closed form != expansion")
         return HilbertSeries(D, coeffs, closed)
 
     def _closed_form(self, D: int) -> ClosedForm:
@@ -442,9 +443,9 @@ class SRPresentation:
         for r in range(m + 1):
             order.append(self._facet_from_tops({self.pair.j: self.h0 - r, s: r}))
         complex_ = self.facets()
-        assert set(order) == set(complex_.facets), "shelling list must be exactly the facet set"
-        assert len(order) == len(complex_.facets)
-        assert verify_shelling(complex_, order)
+        require(set(order) == set(complex_.facets), "canonical shelling: not the facet set")
+        require(len(order) == len(complex_.facets), "canonical shelling: a facet listed twice")
+        require(verify_shelling(complex_, order), "canonical shelling: order fails the shelling test")
         return tuple(order)
 
     def flags(self) -> dict:

@@ -92,7 +92,7 @@ def check_pair_structure(max_rank: int) -> CheckResult:
         for k in range(1, pair.a_j):
             if sizes[k] != sizes[pair.a_j - k]:
                 return CheckResult("pair structure", False, f"|R_k| asymmetry for {pair.describe()}")
-            pair.theta_k(k)  # asserts uniqueness and the dominance conditions
+            pair.theta_k(k)  # requires uniqueness and the dominance conditions
         closure = set(pair.delta0)
         queue = list(closure)
         while queue:
@@ -163,7 +163,7 @@ def check_krull(max_rank: int, rng: random.Random, samples: int) -> CheckResult:
     for pair in all_pairs(max_rank):
         for _ in range(samples):
             pres = presentation(pair, _random_weight(pair, rng))
-            dim = pres.krull_dim()  # asserts the closed form when jac_zero
+            dim = pres.krull_dim()  # requires the closed form when jac_zero
             if dim != max(len(f) for f in pres.facets().facets):
                 return CheckResult("Krull dimension", False, pair.describe())
     return CheckResult("Krull dimension", True)
@@ -223,21 +223,20 @@ def check_garland(max_rank: int, order: int) -> CheckResult:
     return CheckResult("garland identities", True, f"{roots} roots at order {order}")
 
 
-def run_all(max_rank: int = 5, seed: int = 0, weight_samples: int = 6,
-            hilbert_samples: int = 10, hilbert_degree: int = 16,
-            ideal_samples: int = 40, garland_order: int = 3) -> list[CheckResult]:
+def run_all(max_rank: int, seed: int) -> list[CheckResult]:
     if max_rank < 2:
         raise ValueError(f"max rank must be at least 2, the smallest rank of a pair, got {max_rank}")
     rng = random.Random(seed)
+    samples = 6  # seeded weights per pair in each weight-driven check
     return [
         check_pair_structure(max_rank),
         check_comark_bound(max_rank),
         check_reflection_chains(max_rank),
         check_graded_pieces(min(max_rank, 6)),
-        check_criteria_consistency(min(max_rank, 5), rng, weight_samples),
-        check_krull(min(max_rank, 5), rng, weight_samples),
-        check_hilbert_oracle(min(max_rank, 5), rng, hilbert_samples, hilbert_degree),
-        check_shellings(rng, weight_samples, min(max_rank, 5)),
-        check_ideal_points(min(max_rank, 5), rng, ideal_samples),
-        check_garland(max_rank, garland_order),
+        check_criteria_consistency(min(max_rank, 5), rng, samples),
+        check_krull(min(max_rank, 5), rng, samples),
+        check_hilbert_oracle(min(max_rank, 5), rng, samples=10, degree=16),
+        check_shellings(rng, samples, min(max_rank, 5)),
+        check_ideal_points(min(max_rank, 5), rng, samples=40),
+        check_garland(max_rank, order=3),
     ]

@@ -17,6 +17,7 @@ from math import comb
 from typing import Mapping
 
 from .bdspair import BdsPair
+from .rootsys import require
 from .srring import Weight0, _mul
 
 
@@ -76,19 +77,11 @@ def is_alambda_trivial(pair: BdsPair, lam: Weight0) -> bool:
     Holds iff (i) lam(h_i) > 0 only at nodes where alpha_0 has a positive
     comark, and (ii) lam(h_0) is smaller than the comark at j and at every
     node in the support of lam.  Equivalent to the presentation having no
-    surviving variables.
+    surviving variables.  Since lam(h_0) >= 0, (ii) implies (i).
     """
     c = pair.comarks_alpha0
     h0 = lam[0]
-    for i in pair.i_complement:
-        if lam[i] > 0 and c[i - 1] == 0:
-            return False
-    if h0 >= c[pair.j - 1]:
-        return False
-    for i in pair.i_complement:
-        if lam[i] > 0 and h0 >= c[i - 1]:
-            return False
-    return True
+    return h0 < c[pair.j - 1] and all(lam[i] == 0 or h0 < c[i - 1] for i in pair.i_complement)
 
 
 def is_global_weyl_irreducible(pair: BdsPair, lam: Weight0) -> bool:
@@ -195,13 +188,11 @@ def verify_ideal_point(pair: BdsPair, point: IdealPoint) -> None:
     lam = point.lam
     c = pair.comarks_alpha0
     for i in pair.i_complement:
-        if point.degree(i) > lam[i]:
-            raise AssertionError(f"relation violated: deg pi_{i} > lam(h_{i})")
+        require(point.degree(i) <= lam[i], "relation violated: deg pi_{} > lam(h_{})", i, i)
     weighted = sum(c[i - 1] * point.degree(i) for i in pair.rs.nodes)
-    if weighted > lam[0]:
-        raise AssertionError("relation violated: weighted degree exceeds lam(h_0)")
-    if weighted != lam[0] - point.mu_h0:
-        raise AssertionError("degree identity violated: mu(h_0) != lam(h_0) - weighted degree")
+    require(weighted <= lam[0], "relation violated: weighted degree exceeds lam(h_0)")
+    require(weighted == lam[0] - point.mu_h0,
+            "degree identity violated: mu(h_0) != lam(h_0) - weighted degree")
 
 
 # -- local Weyl module dimensions for (B_n, D_n) -------------------------------

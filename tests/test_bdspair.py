@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,30 @@ from bdsweyl.bdspair import (
     component_root_count,
     eligible_nodes,
 )
+from bdsweyl.cli import main
 from bdsweyl.rootsys import build, reflect_by_root
 
 
 def b3_pair():
     return build_pair("B", 3, rank=3)
+
+
+def test_pair_query_scans_each_theta_once(capsys, monkeypatch):
+    # E6 at node 4 has a_j = 3; the JSON payload and the text both ask for
+    # theta_1 and theta_2, and each scan reads R_k^+ through graded_positive
+    scans = Counter()
+    graded_positive = BdsPair.graded_positive
+
+    def counting(self, k):
+        scans[k] += 1
+        return graded_positive(self, k)
+
+    monkeypatch.setattr(BdsPair, "graded_positive", counting)
+    for fmt in ("text", "json"):
+        scans.clear()
+        assert main(["pair", "E", "6", "--node", "4", "--format", fmt]) == 0
+        assert scans == {1: 1, 2: 1}
+    capsys.readouterr()
 
 
 def test_rejects_mark_one_node():

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import bdsweyl
-from bdsweyl import garland, verify
+from bdsweyl import garland, srring, verify
+from bdsweyl.bdspair import BdsPair
 from bdsweyl.cli import main
 
 
@@ -193,6 +194,44 @@ def test_krull_dim_failure_survives_optimized_mode():
     assert proc.returncode == 1
     assert "property failure: krull_dim: " in proc.stderr
     assert proc.stdout == ""
+
+
+def test_canonical_shelling_failure_survives_optimized_mode():
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "srring.verify_shelling = lambda complex_, order: False\n"
+                         "sys.exit(cli.main(['alambda', 'B', '3', '--node', '3',"
+                         " '--weight', 'h2=1,h0=1']))\n")
+    assert proc.returncode == 1
+    assert "property failure: canonical shelling: order fails the shelling test" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_g0_coroot_failure_survives_optimized_mode():
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli\n"
+                         "from bdsweyl.bdspair import BdsPair\n"
+                         "coords = BdsPair.g0_coroot_coordinates\n"
+                         "BdsPair.g0_coroot_coordinates = "
+                         "lambda self, a: tuple(-c for c in coords(self, a))\n"
+                         "sys.exit(cli.main(['localdim', 'B', '3', '--node', '3',"
+                         " '--fundamental', '2']))\n")
+    assert proc.returncode == 1
+    assert "property failure: g0_weyl_dim: negative Delta_0 coroot" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_property_failures_are_named(capsys, monkeypatch):
+    monkeypatch.setattr(srring, "verify_shelling", lambda complex_, order: False)
+    code, out, err = run(capsys, "alambda", "B", "3", "--node", "3", "--weight", "h2=1,h0=1")
+    assert (code, out) == (1, "")
+    assert err == "property failure: canonical shelling: order fails the shelling test\n"
+    coords = BdsPair.g0_coroot_coordinates
+    monkeypatch.setattr(BdsPair, "g0_coroot_coordinates",
+                        lambda self, a: tuple(-c for c in coords(self, a)))
+    code, out, err = run(capsys, "localdim", "B", "3", "--node", "3", "--fundamental", "2")
+    assert (code, out) == (1, "")
+    assert err == "property failure: g0_weyl_dim: negative Delta_0 coroot\n"
 
 
 def test_garland_failure_reported_by_both_routes(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import bdsweyl
-from bdsweyl.cli import main
+from bdsweyl.cli import build_parser, main
 
 D8_WEIGHT = "h1=6,h2=6,h3=6,h5=6,h6=6,h7=6,h8=6,h0=24"
 D6_WEIGHT = "h1=1,h2=2,h4=1,h5=1,h6=1,h0=4"
@@ -58,6 +58,14 @@ def test_golden_json_stdout(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_query(capsys):
+    assert build_parser() is build_parser()
+    for command, digest in (GOLDEN[0], GOLDEN[7], GOLDEN[0]):
+        assert main(command.split() + ["--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert build_parser.cache_info().currsize == 1
 
 
 # Replays the corpus in one `python -O` process, where bare asserts are
