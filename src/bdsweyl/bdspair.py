@@ -11,7 +11,6 @@ reflection chain from alpha_0 down to a simple root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -79,16 +78,9 @@ class BdsPair:
         """Node labels for Delta_0: the nodes of I(j) in order, then 0 for alpha_0."""
         return self.i_complement + (0,)
 
-    def delta0_root(self, label: int) -> Root:
-        if label == 0:
-            return self.alpha0
-        if label == self.j or label not in self.rs.nodes:
-            raise ValueError(f"{label} is not a Delta_0 label")
-        return self.rs.simple_root(label)
-
     @cached_property
     def delta0(self) -> tuple[Root, ...]:
-        return tuple(self.delta0_root(i) for i in self.delta0_labels)
+        return tuple(self.rs.simple_root(i) for i in self.i_complement) + (self.alpha0,)
 
     @cached_property
     def g0_cartan(self) -> tuple[tuple[int, ...], ...]:
@@ -196,22 +188,16 @@ class BdsPair:
 
     # -- the fixed-point subalgebra as a root subsystem ----------------------
 
-    @cached_property
-    def _delta0_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        cols = self.delta0
-        n = self.rs.rank
-        mat = [[Fraction(cols[q][p]) for q in range(n)] for p in range(n)]
-        return _invert(mat)
-
     def delta0_coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a root-lattice vector in the Delta_0 basis."""
-        out = []
-        for row in self._delta0_inverse:
-            c = sum(r * x for r, x in zip(row, v))
-            if c.denominator != 1:
-                raise ValueError(f"{tuple(v)} is not in the Delta_0 lattice")
-            out.append(int(c))
-        return tuple(out)
+        """Coordinates of a root-lattice vector in the Delta_0 basis.
+
+        alpha_0 is the only member of Delta_0 with a nonzero j-coordinate, and
+        that coordinate is a_j, so v_j / a_j is the alpha_0 coefficient and the
+        rest of v lies on the simple roots of I(j)."""
+        m, r = divmod(v[self.j - 1], self.a_j)
+        if r:
+            raise ValueError(f"{tuple(v)} is not in the Delta_0 lattice")
+        return tuple(v[i - 1] - m * self.alpha0[i - 1] for i in self.i_complement) + (m,)
 
     def g0_weight_values(self, v: Sequence[int]) -> dict[int, int]:
         """Values <v, delta^vee> over Delta_0, keyed by the Delta_0 labels."""
@@ -401,17 +387,3 @@ def _classify_component(cartan: Sequence[Sequence[int]]) -> str:
 def component_root_count(name: str) -> int:
     return ROOT_COUNTS[name[0]](int(name[1:]))
 
-
-def _invert(mat: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(p == q)) for q in range(n)] for p, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)

@@ -9,9 +9,9 @@ dimensions and every pairing <v, alpha^vee> are integer quotients taken by
 `exact_quotient`, the one integrality check.  Every internal invariant of
 the package, that one included, fails through `require`, which raises by name
 and the same under `python -O`.  Here `Fraction` is left only in the
-symmetrizer ratios and the value of `inner`; in the package, only the inverse
-of the Delta_0 basis, the Garland coefficients and the evaluation parameters
-are rational.  There is no Euclidean embedding anywhere.
+symmetrizer ratios and the value of `inner`; in the package, only the Garland
+coefficients and the evaluation parameters are rational.  There is no
+Euclidean embedding anywhere.
 """
 
 from __future__ import annotations

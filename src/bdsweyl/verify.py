@@ -1,8 +1,9 @@
 """Cross-cutting invariant suite, runnable from the CLI as `verify-all`.
 
-Each check walks a family of pairs (bounded by rank) or a seeded random
-family of weights and returns a named pass/fail result.  The suite is
-deterministic for a fixed seed: identical inputs give identical reports.
+Each check walks a family of pairs (the pairs of `all_pairs` up to a rank
+bound, built once per run) or a seeded random family of weights and returns
+a named pass/fail result.  The suite is deterministic for a fixed seed:
+identical inputs give identical reports.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, all_pairs, alpha0_by_scan, component_root_count
-from .rootsys import build, reflect_by_root
+from .rootsys import CLASSICAL_MAX_RANK, reflect_by_root
 from .srring import SimplicialComplex, Weight0, hilbert_series_bruteforce, presentation, verify_shelling
 
 
@@ -80,9 +81,9 @@ def draw_eval_params(pair: BdsPair, lam: Weight0, rng: random.Random, k: int) ->
     return weylcrit.EvalParams(mu=Weight0(mu_vals), points=tuple(points))
 
 
-def check_pair_structure(max_rank: int) -> CheckResult:
+def check_pair_structure(pairs: list[BdsPair]) -> CheckResult:
     count = 0
-    for pair in all_pairs(max_rank):
+    for pair in pairs:
         count += 1
         if pair.alpha0 != alpha0_by_scan(pair.rs, pair.j):
             return CheckResult("pair structure", False, f"alpha0 oracle mismatch for {pair.describe()}")
@@ -109,9 +110,9 @@ def check_pair_structure(max_rank: int) -> CheckResult:
     return CheckResult("pair structure", True, f"{count} pairs")
 
 
-def check_comark_bound(max_rank: int) -> CheckResult:
+def check_comark_bound(pairs: list[BdsPair]) -> CheckResult:
     hits = 0
-    for pair in all_pairs(max_rank):
+    for pair in pairs:
         if pair.comarks_alpha0[pair.j - 1] == 1:
             hits += 1
             if max(pair.comarks_alpha0) > 1:
@@ -119,8 +120,8 @@ def check_comark_bound(max_rank: int) -> CheckResult:
     return CheckResult("comark bound", True, f"{hits} pairs with comark 1 at j")
 
 
-def check_reflection_chains(max_rank: int) -> CheckResult:
-    for pair in all_pairs(max_rank):
+def check_reflection_chains(pairs: list[BdsPair]) -> CheckResult:
+    for pair in pairs:
         nodes = list(pair.rs.nodes)
         orders = [None, tuple(reversed(nodes)), tuple(nodes[1:] + nodes[:1])]
         for prefer in orders:
@@ -132,8 +133,8 @@ def check_reflection_chains(max_rank: int) -> CheckResult:
     return CheckResult("reflection chains", True, "3 tie-break orders per pair")
 
 
-def check_graded_pieces(max_rank: int) -> CheckResult:
-    for pair in all_pairs(max_rank):
+def check_graded_pieces(pairs: list[BdsPair]) -> CheckResult:
+    for pair in pairs:
         for k in range(1, pair.a_j):
             if not pair.gk_irreducibility_check(k):
                 return CheckResult("graded piece dimensions", False, f"{pair.describe()} k={k}")
@@ -144,8 +145,8 @@ def check_graded_pieces(max_rank: int) -> CheckResult:
     return CheckResult("graded piece dimensions", True)
 
 
-def check_criteria_consistency(max_rank: int, rng: random.Random, samples: int) -> CheckResult:
-    for pair in all_pairs(max_rank):
+def check_criteria_consistency(pairs: list[BdsPair], rng: random.Random, samples: int) -> CheckResult:
+    for pair in pairs:
         for _ in range(samples):
             lam = _random_weight(pair, rng)
             trivial = weylcrit.is_alambda_trivial(pair, lam)
@@ -159,8 +160,8 @@ def check_criteria_consistency(max_rank: int, rng: random.Random, samples: int) 
     return CheckResult("criteria consistency", True)
 
 
-def check_krull(max_rank: int, rng: random.Random, samples: int) -> CheckResult:
-    for pair in all_pairs(max_rank):
+def check_krull(pairs: list[BdsPair], rng: random.Random, samples: int) -> CheckResult:
+    for pair in pairs:
         for _ in range(samples):
             pres = presentation(pair, _random_weight(pair, rng))
             dim = pres.krull_dim()  # requires the closed form when jac_zero
@@ -169,8 +170,7 @@ def check_krull(max_rank: int, rng: random.Random, samples: int) -> CheckResult:
     return CheckResult("Krull dimension", True)
 
 
-def check_hilbert_oracle(max_rank: int, rng: random.Random, samples: int, degree: int) -> CheckResult:
-    pairs = all_pairs(max_rank)
+def check_hilbert_oracle(pairs: list[BdsPair], rng: random.Random, samples: int, degree: int) -> CheckResult:
     done = 0
     for _ in range(samples):
         pair = rng.choice(pairs)
@@ -184,9 +184,12 @@ def check_hilbert_oracle(max_rank: int, rng: random.Random, samples: int, degree
     return CheckResult("Hilbert oracle", True, f"{done} instances to degree {degree}")
 
 
-def check_shellings(rng: random.Random, samples: int, max_rank: int) -> CheckResult:
-    for n in range(3, min(5, max_rank) + 1):
-        pair = BdsPair(build("B", n), n)
+def check_shellings(rng: random.Random, samples: int, pairs: list[BdsPair]) -> CheckResult:
+    """The canonical shelling of B_n at node n, for each such pair with n >= 3."""
+    for pair in pairs:
+        n = pair.rs.rank
+        if pair.rs.type_letter != "B" or pair.j != n or n < 3:
+            continue
         for _ in range(samples):
             pres = presentation(pair, _random_weight(pair, rng))
             order = pres.canonical_shelling()
@@ -198,8 +201,7 @@ def check_shellings(rng: random.Random, samples: int, max_rank: int) -> CheckRes
     return CheckResult("shellings", True)
 
 
-def check_ideal_points(max_rank: int, rng: random.Random, samples: int) -> CheckResult:
-    pairs = all_pairs(max_rank)
+def check_ideal_points(pairs: list[BdsPair], rng: random.Random, samples: int) -> CheckResult:
     for _ in range(samples):
         pair = rng.choice(pairs)
         lam = _random_weight(pair, rng)
@@ -211,9 +213,9 @@ def check_ideal_points(max_rank: int, rng: random.Random, samples: int) -> Check
     return CheckResult("ideal points", True, f"{samples} parameter draws")
 
 
-def check_garland(max_rank: int, order: int) -> CheckResult:
+def check_garland(pairs: list[BdsPair], order: int) -> CheckResult:
     roots = 0
-    for pair in all_pairs(min(max_rank, 3)):
+    for pair in pairs:
         for alpha in pair.rs.positive_roots:
             roots += 1
             failures = garland.root_failures(pair, alpha, order)
@@ -226,17 +228,26 @@ def check_garland(max_rank: int, order: int) -> CheckResult:
 def run_all(max_rank: int, seed: int) -> list[CheckResult]:
     if max_rank < 2:
         raise ValueError(f"max rank must be at least 2, the smallest rank of a pair, got {max_rank}")
+    if max_rank > CLASSICAL_MAX_RANK:
+        raise ValueError(f"max rank must be at most {CLASSICAL_MAX_RANK}, the largest classical rank, "
+                         f"got {max_rank}")
     rng = random.Random(seed)
     samples = 6  # seeded weights per pair in each weight-driven check
+    pairs = all_pairs(max_rank)
+
+    def up_to(k: int) -> list[BdsPair]:
+        """all_pairs(k), in its order, from the one family of the run."""
+        return [p for p in pairs if p.rs.rank <= k]
+
     return [
-        check_pair_structure(max_rank),
-        check_comark_bound(max_rank),
-        check_reflection_chains(max_rank),
-        check_graded_pieces(min(max_rank, 6)),
-        check_criteria_consistency(min(max_rank, 5), rng, samples),
-        check_krull(min(max_rank, 5), rng, samples),
-        check_hilbert_oracle(min(max_rank, 5), rng, samples=10, degree=16),
-        check_shellings(rng, samples, min(max_rank, 5)),
-        check_ideal_points(min(max_rank, 5), rng, samples=40),
-        check_garland(max_rank, order=3),
+        check_pair_structure(pairs),
+        check_comark_bound(pairs),
+        check_reflection_chains(pairs),
+        check_graded_pieces(up_to(6)),
+        check_criteria_consistency(up_to(5), rng, samples),
+        check_krull(up_to(5), rng, samples),
+        check_hilbert_oracle(up_to(5), rng, samples=10, degree=16),
+        check_shellings(rng, samples, up_to(5)),
+        check_ideal_points(up_to(5), rng, samples=40),
+        check_garland(up_to(3), order=3),
     ]

@@ -220,9 +220,9 @@ def test_bracket_weight_check(monkeypatch):
         for k in range(2, pair.a_j):
             for m in range(1, k):
                 assert pair.bracket_weight_check(k, m)
-    assert verify.check_graded_pieces(2).ok
+    assert verify.check_graded_pieces(all_pairs(2)).ok
     monkeypatch.setattr(BdsPair, "bracket_weight_check", lambda self, k, m: False)
-    result = verify.check_graded_pieces(2)  # G2 at node 1 is the pair with a_j = 3
+    result = verify.check_graded_pieces(all_pairs(2))  # G2 at node 1 is the pair with a_j = 3
     assert not result.ok
     assert result.detail.endswith("R_2 != R_1 + R_1")
 
@@ -289,3 +289,27 @@ def test_integer_structure_constants_match_fraction_oracle(data):
     sq = oracle_inner(rs, a0, a0)
     assert pair.g0_coroot_coordinates(a0) == tuple(
         m * oracle_inner(rs, d, d) / sq for m, d in zip(pair.delta0_coordinates(a0), delta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_delta0_coordinates_round_trip(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    n = pair.rs.rank
+
+    def combine(coords):
+        return tuple(sum(c * d[p] for c, d in zip(coords, pair.delta0)) for p in range(n))
+
+    # every root of R_0 is a one-signed integer combination of its simple system
+    a0 = data.draw(st.sampled_from(pair.graded_roots(0)), label="a0")
+    coords = pair.delta0_coordinates(a0)
+    assert combine(coords) == a0
+    assert min(coords) >= 0 or max(coords) <= 0
+    m = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n), label="m"))
+    v = combine(m)
+    assert pair.delta0_coordinates(v) == m
+    # off the Delta_0 lattice exactly when v_j is not a multiple of a_j
+    off = list(v)
+    off[pair.j - 1] += data.draw(st.integers(1, pair.a_j - 1), label="shift")
+    with pytest.raises(ValueError, match="not in the Delta_0 lattice"):
+        pair.delta0_coordinates(off)

@@ -8,7 +8,7 @@ import pytest
 
 import bdsweyl
 from bdsweyl import garland, srring, verify
-from bdsweyl.bdspair import BdsPair
+from bdsweyl.bdspair import BdsPair, all_pairs
 from bdsweyl.cli import main
 
 
@@ -243,7 +243,7 @@ def test_garland_failure_reported_by_both_routes(capsys, monkeypatch):
     assert payload["status"] == "fail"
     assert len(payload["failures"]) == payload["roots_checked"] == 6
     assert all(f["check"] == "newton" and f["order"] == 2 for f in payload["failures"])
-    result = verify.check_garland(2, 2)
+    result = verify.check_garland(all_pairs(2), 2)
     assert not result.ok
     assert result.detail.startswith("newton at ")
 
@@ -267,6 +267,13 @@ def test_verify_all_below_rank_2_exits_2(capsys, max_rank):
     assert out == ""
     assert "at least 2" in err
     assert "Traceback" not in err
+
+
+def test_verify_all_above_rank_12_exits_2(capsys):
+    code, out, err = run(capsys, "verify-all", "--max-rank", "13")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max rank must be at most 12, the largest classical rank, got 13\n"
 
 
 def test_verify_all_rank_2_passes(capsys):

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and only the
+modules whose values can be non-integral import `fractions`."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,28 @@ def test_guard_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the symmetrizer and `inner`, the Garland coefficients, the evaluation
+# parameters and their draws; everything else is integer arithmetic
+FRACTION_MODULES = {"rootsys.py", "garland.py", "weylcrit.py", "verify.py"}
+
+
+def imports_fractions(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+    return False
+
+
+def test_guard_sees_fractions_imports():
+    assert imports_fractions("from fractions import Fraction\n")
+    assert imports_fractions("import os, fractions as fr\n")
+    assert not imports_fractions("from .rootsys import Fraction\nimport fractional\n")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fractions_only_where_values_are_rational(path):
+    assert path.name in FRACTION_MODULES or not imports_fractions(path.read_text())

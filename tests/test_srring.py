@@ -305,6 +305,30 @@ def test_maximality_check_matches_pairwise_loop(pool, picks):
     assert accepted == _pairwise_maximal(facets)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=7))
+def test_find_shelling_result_is_a_shelling(faces):
+    sc = SimplicialComplex((), tuple(f for f in faces if not any(f < g for g in faces)))
+    order = find_shelling(sc)
+    if order is not None:
+        assert verify_shelling(sc, order)  # raises unless a permutation of the facets
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=2))
+def test_find_shelling_orders_a_connected_graph(targets, chords):
+    # a tree grown one edge at a time, plus chords between its vertices, is a
+    # connected graph, and a connected graph is shellable as a 1-complex
+    n = len(targets) + 1
+    edges = {frozenset({k, t % k}) for k, t in enumerate(targets, 1)}
+    edges |= {frozenset({a % n, b % n}) for a, b in chords if a % n != b % n}
+    sc = SimplicialComplex((), tuple(edges))
+    order = find_shelling(sc)
+    assert order is not None
+    assert verify_shelling(sc, order)
+
+
 def test_verify_shelling_disjoint_points_both_orders():
     pres = presentation(B3, EXAMPLE_578)
     sc = pres.facets()
