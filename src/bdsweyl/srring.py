@@ -21,11 +21,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
 from .rootsys import require
+
+# Largest accepted sum of the variable degrees, sum_i a_j * cap_i (cap_i + 1) / 2.
+# That sum is the degree of the Hilbert series denominator and bounds the
+# length of the unreduced numerator, so a presentation over it is refused
+# before anything is enumerated.
+MAX_NUMERATOR_LENGTH = 100_000
 
 
 def parse_weight_spec(spec: str) -> dict[int, int]:
@@ -228,6 +234,10 @@ class SRPresentation:
         self.h0 = lam[0]
         self.comarks = pair.comarks_alpha0
         self.caps = self._caps()
+        length = pair.a_j * sum(c * (c + 1) // 2 for c in self.caps.values())
+        if length > MAX_NUMERATOR_LENGTH:
+            raise ValueError(f"weight too large: the variable degrees sum to {length}, above the "
+                             f"limit {MAX_NUMERATOR_LENGTH} on the Hilbert numerator length")
 
     def _caps(self) -> dict[int, int]:
         pair = self.pair
@@ -398,33 +408,54 @@ class SRPresentation:
         """Unreduced rational form: a budget DP over the constrained nodes.
 
         A monomial in the quotient is nonzero iff its support is a face, and a
-        face is fixed by its top level m at each constrained node.  Top level m
-        at node i contributes t^{a_j m} prod_{r>m} (1 - t^{a_j r}) over the
-        denominator prod_{r<=cap} (1 - t^{a_j r}); free nodes contribute 1.
-        The DP maps the budget used so far to the sum of the products of these
-        terms, so N sums the terms over every budgeted top-level tuple without
-        enumerating them.  N is kept whole when jac_zero (the reduced form is
-        printed) and truncated at degree D otherwise.
+        face is fixed by its top level m at each constrained node.  Over the
+        denominator prod_{r<=cap} (1 - t^{a_j r}), top level m at node i
+        contributes t^{a_j m} Q_m, where Q_M = prod_{M<r<=cap} (1 - t^{a_j r});
+        free nodes contribute 1.  Since Q_{m-1} = Q_m (1 - t^{a_j m}), that
+        term is Q_m - Q_{m-1} (with Q_{-1} = 0), so the terms of the levels
+        m <= M telescope to Q_M.  The DP maps the budget used so far to the
+        sum of the products of the terms of the nodes already placed; the
+        constrained nodes go in order of cap, the largest last.  Each earlier
+        node builds its terms once, by sparse steps Q_m -> Q_{m-1}, and
+        multiplies them into every state.  The last node leaves one sum,
+        acc * Q_M over the states with M = min(cap, (h0 - used) // w), taken
+        by Horner's rule in the same sparse steps, so no product is dense in
+        a factor (1 - t^d).  N is kept whole when jac_zero (the reduced form
+        is printed) and truncated at degree D otherwise.
         """
         cut = None if self.jac_zero else D
-        a_j = self.pair.a_j
+        a_j, h0 = self.pair.a_j, self.h0
+        nodes = sorted(self.constrained_nodes, key=lambda i: self.caps[i])
         states = {0: [1]}
-        for i in self.constrained_nodes:
+        for i in nodes[:-1]:
             w, cap = self.comarks[i - 1], self.caps[i]
-            terms, above = [], [1]
+            terms, q = [], [1]
             for m in range(cap, 0, -1):
-                terms.append(_mul([0] * (a_j * m) + [1], above, cut))
-                above = _mul(above, _one_minus_td(a_j * m), cut)
-            terms.append(above)
+                terms.append(_mul([0] * (a_j * m) + [1], q, cut))
+                q = _times_one_minus_td(q, a_j * m, cut)
+            terms.append(q)
             terms.reverse()
             new: dict[int, list[int]] = {}
             for used, acc in states.items():
-                for m in range(min(cap, (self.h0 - used) // w) + 1):
+                for m in range(min(cap, (h0 - used) // w) + 1):
                     term = _mul(acc, terms[m], cut)
                     key = used + w * m
                     new[key] = _add(new[key], term) if key in new else term
             states = new
-        num = reduce(_add, states.values())
+        num = [1]
+        if nodes:
+            w, cap = self.comarks[nodes[-1] - 1], self.caps[nodes[-1]]
+            # N = sum_M by_top[M] Q_M, by Horner: Q_{M-1} = Q_M (1 - t^{a_j M})
+            by_top: dict[int, list[int]] = {}
+            for used, acc in states.items():
+                top = min(cap, (h0 - used) // w)
+                by_top[top] = _add(by_top[top], acc) if top in by_top else acc
+            low = min(by_top)
+            num = by_top[low]
+            for m in range(low + 1, cap + 1):
+                num = _times_one_minus_td(num, a_j * m, cut)
+                if m in by_top:
+                    num = _add(num, by_top[m])
         return ClosedForm(tuple(num), tuple(sorted(v.degree for v in self.variables)))
 
     # -- shelling ---------------------------------------------------------------
@@ -533,14 +564,20 @@ def _mul(a: Sequence[int], b: Sequence[int], D: int | None = None) -> list[int]:
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)]
+    """a + b as a new list: a copy of the longer one plus the shorter."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return out
 
 
-def _one_minus_td(d: int) -> list[int]:
-    out = [0] * (d + 1)
-    out[0] = 1
-    out[d] = -1
+def _times_one_minus_td(p: list[int], d: int, D: int | None = None) -> list[int]:
+    """p * (1 - t^d) in O(len(p)) steps, truncated at degree D when D is given."""
+    n = len(p) + d if D is None else min(len(p) + d, D + 1)
+    out = p[:n] + [0] * (n - len(p))
+    out[d:] = map(sub, out[d:], p)
     return out
 
 

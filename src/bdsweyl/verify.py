@@ -94,12 +94,15 @@ def check_pair_structure(pairs: list[BdsPair]) -> CheckResult:
             if sizes[k] != sizes[pair.a_j - k]:
                 return CheckResult("pair structure", False, f"|R_k| asymmetry for {pair.describe()}")
             pair.theta_k(k)  # requires uniqueness and the dominance conditions
+        # Delta_0 is the simple roots of I(j) plus alpha_0: a simple reflection
+        # is one Cartan row, so only alpha_0 needs the general reflection
         closure = set(pair.delta0)
         queue = list(closure)
         while queue:
             v = queue.pop()
-            for d in pair.delta0:
-                w = reflect_by_root(pair.rs, d, v)
+            images = [pair.rs.reflect(i, v) for i in pair.i_complement]
+            images.append(reflect_by_root(pair.rs, pair.alpha0, v))
+            for w in images:
                 if w not in closure:
                     closure.add(w)
                     queue.append(w)

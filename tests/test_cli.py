@@ -254,6 +254,15 @@ def test_garland_check(capsys):
     assert "pass" in out
 
 
+def test_oversized_presentation_exits_2(capsys):
+    code, out, err = run(capsys, "hilbert", "G", "2", "--node", "1",
+                         "--weight", "h0=99999999999", "--degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: weight too large: the variable degrees sum to 14999999999850000000000, "
+                   "above the limit 100000 on the Hilbert numerator length\n")
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-rank", "4", "--seed", "1")
     assert code == 0

@@ -52,8 +52,27 @@ GOLDEN = [
 ]
 
 
+# The scale frontier: B12 at node 12, where the last constrained node has cap
+# lam(h_0).  The digests were recorded with the per-(state, top level) DP
+# that came before the telescoped numerator.
+FRONTIER = [
+    ("hilbert B 12 --node 12 --weight h11=10,h0=60 --degree 80",
+     "1a3c5f2a84c323e8d58e56a7f565990c9378b3d30fdea1ddb03fa22f88a57f8d"),
+    ("hilbert B 12 --node 12 --weight h11=20,h0=100 --degree 40",
+     "2ebb2ba7a374ae955d173475897eb502f141c46ad96d7b1419bc4b46cb8fe589"),
+]
+
+
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_golden_json_stdout(capsys, command, digest):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", FRONTIER, ids=[c for c, _ in FRONTIER])
+def test_scale_frontier_json_stdout(capsys, command, digest):
     code = main(command.split() + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0

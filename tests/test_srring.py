@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from bdsweyl.bdspair import all_pairs, build_pair
 from bdsweyl.srring import (
+    MAX_NUMERATOR_LENGTH,
+    ClosedForm,
     SimplicialComplex,
     SRVariable,
     Weight0,
@@ -16,6 +18,9 @@ from bdsweyl.srring import (
     hilbert_series_bruteforce,
     presentation,
     verify_shelling,
+    _cancel,
+    _mul,
+    _trim,
 )
 
 B3 = build_pair("B", 3, rank=3)
@@ -439,3 +444,62 @@ def test_presentation_is_freed_by_refcount(derive):
 def test_rejects_weight_with_bad_keys():
     with pytest.raises(ValueError):
         presentation(B3, Weight0({3: 1}))  # 3 = j is not a Delta_0 label
+
+
+def test_size_limit_is_the_sum_of_variable_degrees():
+    pair = build_pair("B", 12, rank=12)
+    pres = presentation(pair, Weight0({11: 20, 0: 314}))
+    assert sum(v.degree for v in pres.variables) == 99330 <= MAX_NUMERATOR_LENGTH
+    with pytest.raises(ValueError, match="sum to 100592, above the limit"):
+        presentation(pair, Weight0({11: 20, 0: 316}))
+
+
+def _poly_sum(polys):
+    return [sum(c) for c in zip_longest(*polys, fillvalue=0)]
+
+
+# Oracle: the budget DP with one dense product per (state, top level m), as
+# the numerator was built before the telescoping, over any order of the
+# constrained nodes.  Top level m at a node contributes
+# t^{a_j m} prod_{m<r<=cap} (1 - t^{a_j r}).
+def closed_form_by_levels(pres, D, nodes):
+    cut = None if pres.jac_zero else D
+    a_j = pres.pair.a_j
+    states = {0: [1]}
+    for i in nodes:
+        w, cap = pres.comarks[i - 1], pres.caps[i]
+        terms, above = [], [1]
+        for m in range(cap, 0, -1):
+            terms.append(_mul([0] * (a_j * m) + [1], above, cut))
+            above = _mul(above, [1] + [0] * (a_j * m - 1) + [-1], cut)
+        terms.append(above)
+        terms.reverse()
+        new = {}
+        for used, acc in states.items():
+            for m in range(min(cap, (pres.h0 - used) // w) + 1):
+                new.setdefault(used + w * m, []).append(_mul(acc, terms[m], cut))
+        states = {key: _poly_sum(polys) for key, polys in new.items()}
+    return ClosedForm(tuple(_poly_sum(states.values())),
+                      tuple(sorted(v.degree for v in pres.variables)))
+
+
+PAIRS_6_BY_JAC_ZERO = {side: [p for p in ALL_PAIRS_6 if (p.comarks_alpha0[p.j - 1] == 1) == side]
+                       for side in (True, False)}
+
+
+@pytest.mark.parametrize("jac_zero", [True, False], ids=["jac_zero", "comark_above_1"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_telescoped_closed_form_matches_level_dp(jac_zero, data):
+    pair = data.draw(st.sampled_from(PAIRS_6_BY_JAC_ZERO[jac_zero]), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 3), label=f"h{k}") for k in pair.delta0_labels})
+    D = data.draw(st.integers(0, 30), label="D")
+    pres = presentation(pair, lam)
+    assert pres.jac_zero == jac_zero
+    order = data.draw(st.permutations(pres.constrained_nodes), label="order")
+    form, oracle = pres._closed_form(D), closed_form_by_levels(pres, D, order)
+    assert form.denominator == oracle.denominator
+    assert form.coefficients(D) == oracle.coefficients(D)
+    assert _trim(list(form.numerator)) == _trim(list(oracle.numerator))
+    if jac_zero:
+        assert _cancel(form.numerator, form.denominator) == _cancel(oracle.numerator, oracle.denominator)

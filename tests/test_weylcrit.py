@@ -81,6 +81,17 @@ def test_trivial_iff_no_variables():
             assert is_alambda_trivial(pair, lam) == (len(presentation(pair, lam).variables) == 0)
 
 
+ALL_PAIRS_6 = all_pairs(6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trivial_iff_no_variables_property(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_6), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 5), label=f"h{k}") for k in pair.delta0_labels})
+    assert is_alambda_trivial(pair, lam) == (presentation(pair, lam).variables == ())
+
+
 def test_irreducible_examples():
     for n in (3, 4, 5):
         pair = build_pair("B", n, rank=n)
