@@ -30,7 +30,8 @@ from .rootsys import require
 # Largest accepted sum of the variable degrees, sum_i a_j * cap_i (cap_i + 1) / 2.
 # That sum is the degree of the Hilbert series denominator and bounds the
 # length of the unreduced numerator, so a presentation over it is refused
-# before anything is enumerated.
+# before anything is enumerated.  It also bounds the truncation degree, the
+# length of every expanded series.
 MAX_NUMERATOR_LENGTH = 100_000
 
 
@@ -191,10 +192,8 @@ class ClosedForm:
     denominator: tuple[int, ...]
 
     def coefficients(self, D: int) -> tuple[int, ...]:
-        out = [0] * (D + 1)
-        for k, c in enumerate(self.numerator):
-            if k <= D:
-                out[k] = c
+        out = list(self.numerator[:D + 1])
+        out += [0] * (D + 1 - len(out))
         for d in self.denominator:
             for k in range(d, D + 1):
                 out[k] += out[k - d]
@@ -396,6 +395,8 @@ class SRPresentation:
         """
         if D < 0:
             raise ValueError("truncation degree must be >= 0")
+        if D > MAX_NUMERATOR_LENGTH:
+            raise ValueError(f"truncation degree {D} is above the limit {MAX_NUMERATOR_LENGTH}")
         unreduced = self._closed_form(D)
         coeffs = unreduced.coefficients(D)
         closed = None
@@ -412,51 +413,54 @@ class SRPresentation:
         denominator prod_{r<=cap} (1 - t^{a_j r}), top level m at node i
         contributes t^{a_j m} Q_m, where Q_M = prod_{M<r<=cap} (1 - t^{a_j r});
         free nodes contribute 1.  Since Q_{m-1} = Q_m (1 - t^{a_j m}), that
-        term is Q_m - Q_{m-1} (with Q_{-1} = 0), so the terms of the levels
-        m <= M telescope to Q_M.  The DP maps the budget used so far to the
-        sum of the products of the terms of the nodes already placed; the
-        constrained nodes go in order of cap, the largest last.  Each earlier
-        node builds its terms once, by sparse steps Q_m -> Q_{m-1}, and
-        multiplies them into every state.  The last node leaves one sum,
-        acc * Q_M over the states with M = min(cap, (h0 - used) // w), taken
-        by Horner's rule in the same sparse steps, so no product is dense in
-        a factor (1 - t^d).  N is kept whole when jac_zero (the reduced form
-        is printed) and truncated at degree D otherwise.
+        term is Q_m - Q_{m-1} (with Q_{-1} = 0).
+
+        The DP maps the budget of lam(h_0) still left, clamped to rest (the
+        sum of w * cap over the constrained nodes not yet placed), to the sum
+        of the products of the terms of the nodes already placed: any budget
+        of at least rest allows every later level, so those states merge.
+        Each node takes one step.  A state acc at budget left and level m adds
+        acc * (Q_m - Q_{m-1}) to the new key min(left - w m, rest), stored by
+        Abel summation as +acc at Q_m and -acc at Q_{m-1}; the levels whose key
+        is clamped telescope to one +acc at the largest of them.  Each new key
+        then sums its coefficients times the Q_m by Horner's rule, in sparse
+        steps (1 - t^d), so no product is dense.  At the last node rest is 0,
+        every state lands in key 0, and that key holds N.  The nodes go in
+        order of cap, the largest last, so the largest cap takes one Horner
+        pass.  N is kept whole when jac_zero (the reduced form is printed) and
+        truncated at degree D otherwise.
         """
         cut = None if self.jac_zero else D
-        a_j, h0 = self.pair.a_j, self.h0
+        a_j = self.pair.a_j
         nodes = sorted(self.constrained_nodes, key=lambda i: self.caps[i])
-        states = {0: [1]}
-        for i in nodes[:-1]:
+        rest = sum(self.comarks[i - 1] * self.caps[i] for i in nodes)
+        states = {min(self.h0, rest): [1]}
+        for i in nodes:
             w, cap = self.comarks[i - 1], self.caps[i]
-            terms, q = [], [1]
-            for m in range(cap, 0, -1):
-                terms.append(_mul([0] * (a_j * m) + [1], q, cut))
-                q = _times_one_minus_td(q, a_j * m, cut)
-            terms.append(q)
-            terms.reverse()
-            new: dict[int, list[int]] = {}
-            for used, acc in states.items():
-                for m in range(min(cap, (h0 - used) // w) + 1):
-                    term = _mul(acc, terms[m], cut)
-                    key = used + w * m
-                    new[key] = _add(new[key], term) if key in new else term
-            states = new
-        num = [1]
-        if nodes:
-            w, cap = self.comarks[nodes[-1] - 1], self.caps[nodes[-1]]
-            # N = sum_M by_top[M] Q_M, by Horner: Q_{M-1} = Q_M (1 - t^{a_j M})
-            by_top: dict[int, list[int]] = {}
-            for used, acc in states.items():
-                top = min(cap, (h0 - used) // w)
-                by_top[top] = _add(by_top[top], acc) if top in by_top else acc
-            low = min(by_top)
-            num = by_top[low]
-            for m in range(low + 1, cap + 1):
-                num = _times_one_minus_td(num, a_j * m, cut)
-                if m in by_top:
-                    num = _add(num, by_top[m])
-        return ClosedForm(tuple(num), tuple(sorted(v.degree for v in self.variables)))
+            rest -= w * cap
+            diffs: dict[int, dict[int, list[int]]] = {}  # new key -> m -> coefficient of Q_m
+            for left, acc in states.items():
+                top = min(cap, left // w)
+                clamped = min(top, (left - rest) // w)  # levels <= clamped go to key rest
+                if clamped >= 0:
+                    _add_at(diffs.setdefault(rest, {}), clamped, acc)
+                levels = range(max(clamped + 1, 0), top + 1)
+                neg = [-c for c in acc] if levels else None
+                for m in levels:
+                    by_level = diffs.setdefault(left - w * m, {})
+                    _add_at(by_level, m, acc)
+                    if m:
+                        _add_at(by_level, m - 1, neg)
+            states = {}
+            for key, by_level in diffs.items():
+                low = min(by_level)
+                num = by_level[low]
+                for m in range(low + 1, cap + 1):
+                    num = _times_one_minus_td(num, a_j * m, cut)
+                    if m in by_level:
+                        num = _add(num, by_level[m])
+                states[key] = num
+        return ClosedForm(tuple(states[0]), tuple(sorted(v.degree for v in self.variables)))
 
     # -- shelling ---------------------------------------------------------------
 
@@ -550,19 +554,6 @@ def hilbert_series_bruteforce(pres: SRPresentation, D: int) -> tuple[int, ...]:
 # -- small integer-polynomial helpers (coefficient lists in t) ---------------
 
 
-def _mul(a: Sequence[int], b: Sequence[int], D: int | None = None) -> list[int]:
-    """Product of a and b, truncated at degree D when D is given."""
-    n = len(a) + len(b) - 1 if D is None else min(len(a) + len(b) - 1, D + 1)
-    out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai == 0:
-            continue
-        for k, bk in enumerate(b[:n - i]):
-            if bk:
-                out[i + k] += ai * bk
-    return out
-
-
 def _add(a: list[int], b: list[int]) -> list[int]:
     """a + b as a new list: a copy of the longer one plus the shorter."""
     if len(a) < len(b):
@@ -571,6 +562,11 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     for k, c in enumerate(b):
         out[k] += c
     return out
+
+
+def _add_at(polys: dict[int, list[int]], key: int, p: list[int]) -> None:
+    """polys[key] += p, storing p itself when the key is new."""
+    polys[key] = _add(polys[key], p) if key in polys else p
 
 
 def _times_one_minus_td(p: list[int], d: int, D: int | None = None) -> list[int]:

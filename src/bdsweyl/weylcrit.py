@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .bdspair import BdsPair
 from .rootsys import require
-from .srring import Weight0, _mul
+from .srring import Weight0
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,9 @@ def ideal_point_from_params(pair: BdsPair, lam: Weight0, params: EvalParams) -> 
     for i in pair.rs.nodes:
         poly = [Fraction(1)]
         for p in params.points:
-            factor = [Fraction(1), -p.z_power]
+            z = p.z_power
             for _ in range(p.weight[i]):
-                poly = _mul(poly, factor)
+                poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]  # poly * (1 - z u)
         rows.append(tuple(poly))
     point = IdealPoint(lam, params.mu[0], tuple(rows))
     verify_ideal_point(pair, point)

@@ -263,6 +263,14 @@ def test_oversized_presentation_exits_2(capsys):
                    "above the limit 100000 on the Hilbert numerator length\n")
 
 
+def test_degree_above_the_limit_exits_2(capsys):
+    code, out, err = run(capsys, "hilbert", "B", "3", "--node", "3",
+                         "--weight", "h2=1,h0=1", "--degree", "100001")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation degree 100001 is above the limit 100000\n"
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-rank", "4", "--seed", "1")
     assert code == 0

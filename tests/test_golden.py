@@ -52,14 +52,20 @@ GOLDEN = [
 ]
 
 
-# The scale frontier: B12 at node 12, where the last constrained node has cap
-# lam(h_0).  The digests were recorded with the per-(state, top level) DP
-# that came before the telescoped numerator.
+# The scale frontier.  B12 at node 12, where the last constrained node has cap
+# lam(h_0): these digests were recorded with the per-(state, top level) DP
+# that came before the telescoped numerator.  C8 at node 4, with five
+# constrained nodes of large cap: these were recorded with the dense product
+# per (state, level) at every node but the last.
 FRONTIER = [
     ("hilbert B 12 --node 12 --weight h11=10,h0=60 --degree 80",
      "1a3c5f2a84c323e8d58e56a7f565990c9378b3d30fdea1ddb03fa22f88a57f8d"),
     ("hilbert B 12 --node 12 --weight h11=20,h0=100 --degree 40",
      "2ebb2ba7a374ae955d173475897eb502f141c46ad96d7b1419bc4b46cb8fe589"),
+    ("hilbert C 8 --node 4 --weight h5=15,h6=15,h7=15,h8=15,h0=30 --degree 20",
+     "300197dccd99c8ea27892e9598b37ab1cc193b532f039e519705a427d54c6714"),
+    ("hilbert C 8 --node 4 --weight h5=20,h6=20,h7=20,h8=20,h0=40 --degree 20",
+     "215b2bcc46e4137902f79c6e7f21ffd5856667719706ae018b9b8561e074a795"),
 ]
 
 

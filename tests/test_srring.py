@@ -19,7 +19,6 @@ from bdsweyl.srring import (
     presentation,
     verify_shelling,
     _cancel,
-    _mul,
     _trim,
 )
 
@@ -456,6 +455,20 @@ def test_size_limit_is_the_sum_of_variable_degrees():
 
 def _poly_sum(polys):
     return [sum(c) for c in zip_longest(*polys, fillvalue=0)]
+
+
+# Oracle helper: the dense schoolbook product of a and b, truncated at degree
+# D when D is given.
+def _mul(a, b, D=None):
+    n = len(a) + len(b) - 1 if D is None else min(len(a) + len(b) - 1, D + 1)
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai == 0:
+            continue
+        for k, bk in enumerate(b[:n - i]):
+            if bk:
+                out[i + k] += ai * bk
+    return out
 
 
 # Oracle: the budget DP with one dense product per (state, top level m), as
