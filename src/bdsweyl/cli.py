@@ -203,6 +203,7 @@ def cmd_idealpoint(args):
 
 def cmd_garland_check(args):
     pair = _resolve_pair(args)
+    garland.check_order(pair.rs.rank, args.order)
     failures = [f for alpha in pair.rs.positive_roots
                 for f in garland.root_failures(pair, alpha, args.order)]
     payload = {

@@ -14,13 +14,21 @@ identities for these elements: recursion vs exponential, the product formula
 over simple roots, and the group-like coproduct property.  Every identity
 takes the coroot vector c; `coroot(pair, alpha)` is the entry point from a
 positive root of a pair.
+
+An `HPoly` keeps integer numerators over one denominator per polynomial, so
+the identities are checked in integer arithmetic.  The largest polynomial a
+check at order N builds is a u^N coefficient of the tensor square; its
+monomials are counted before anything is built (`tensor_square_sizes`), and
+`check_order` refuses an order whose count is above MAX_TENSOR_TERMS.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from math import gcd, lcm
 
 from .bdspair import BdsPair
 from .rootsys import require
@@ -32,36 +40,80 @@ Coroot = tuple  # (c_1, ..., c_n) with h_alpha = sum_i c_i h_i
 
 class HPoly:
     """Multivariate polynomial with exact rational coefficients in commuting
-    generators; monomials are kept as sorted key tuples (graded lex order)."""
+    generators; monomials are kept as sorted key tuples (graded lex order).
 
-    __slots__ = ("terms",)
+    The coefficients are stored as integer numerators over one positive
+    denominator `den`, in lowest terms: gcd(den, every numerator) = 1, and no
+    numerator is 0.  So equal polynomials have equal (den, nums), and `*` and
+    `sum` are integer arithmetic with one gcd per result.  `Fraction` enters
+    only at the edges: the constructor's input, `scale`'s argument, `terms`
+    and `repr`.
+    """
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {m: c for m, c in (terms or {}).items() if c}
+    __slots__ = ("den", "nums")
+
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
+        fracs = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+        # Each Fraction is in lowest terms, so over the lcm of the
+        # denominators the numerators are already reduced.
+        self.den = lcm(*(c.denominator for c in fracs.values()))
+        self.nums = {m: c.numerator * (self.den // c.denominator) for m, c in fracs.items()}
+
+    @classmethod
+    def _make(cls, den: int, nums: dict[Monomial, int]) -> "HPoly":
+        """A polynomial from numerators already in lowest terms over den."""
+        poly = object.__new__(cls)
+        poly.den, poly.nums = den, nums
+        return poly
+
+    @classmethod
+    def _reduced(cls, den: int, nums: dict[Monomial, int]) -> "HPoly":
+        """nums / den brought to lowest terms, with the zero numerators dropped."""
+        if 0 in nums.values():
+            nums = {m: c for m, c in nums.items() if c}
+        g = gcd(den, *nums.values()) if den > 1 else 1
+        if g > 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+        return cls._make(den, nums)
+
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        """Read-only view of the coefficients as Fractions."""
+        return _Terms(self)
 
     @classmethod
     def sum(cls, polys: Iterable["HPoly"]) -> "HPoly":
-        """Collect the terms of all the polynomials in one dict."""
-        out: dict[Monomial, Fraction] = {}
+        """Collect the terms of all the polynomials over the lcm of their
+        denominators, taking the polynomials one at a time."""
+        den = 1
+        out: dict[Monomial, int] = {}
+        get = out.get
         for poly in polys:
-            for m, c in poly.terms.items():
-                out[m] = out[m] + c if m in out else c
-        return cls(out)
+            if den % poly.den:
+                k = lcm(den, poly.den) // den
+                den *= k
+                for m in out:
+                    out[m] *= k
+            k = den // poly.den
+            for m, c in poly.nums.items():
+                out[m] = get(m, 0) + c * k
+        return cls._reduced(den, out)
 
     @classmethod
     def const(cls, c) -> "HPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, key: Key) -> "HPoly":
-        return cls({(key,): Fraction(1)})
+        return cls._make(1, {(key,): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __add__(self, other: "HPoly") -> "HPoly":
@@ -72,30 +124,50 @@ class HPoly:
 
     def scale(self, c) -> "HPoly":
         c = Fraction(c)
-        return HPoly({m: x * c for m, x in self.terms.items()})
+        return HPoly._reduced(self.den * c.denominator,
+                              {m: x * c.numerator for m, x in self.nums.items()})
 
     def __mul__(self, other: "HPoly") -> "HPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
                 m = tuple(sorted(m1 + m2))
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return HPoly(out)
+                out[m] = get(m, 0) + c1 * c2
+        return HPoly._reduced(self.den * other.den, out)
 
     def substitute(self, mapping: Mapping[Key, "HPoly"]) -> "HPoly":
         return HPoly.sum(reduce(lambda term, key: term * mapping[key], m, HPoly.const(c))
                          for m, c in self.terms.items())
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[m]
+        terms = self.terms
+        for m in sorted(self.nums, key=lambda m: (len(m), m)):
             mono = "*".join(f"H{list(k)}" for k in m) or "1"
-            bits.append(f"{c}*{mono}")
+            bits.append(f"{terms[m]}*{mono}")
         return " + ".join(bits)
+
+
+class _Terms(Mapping):
+    """The monomial -> Fraction mapping of an HPoly, built on access, so that
+    `len` and iteration cost no Fraction."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: HPoly):
+        self._poly = poly
+
+    def __getitem__(self, m: Monomial) -> Fraction:
+        return Fraction(self._poly.nums[m], self._poly.den)
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __len__(self) -> int:
+        return len(self._poly.nums)
 
 
 def coroot(pair: BdsPair, alpha: Sequence[int]) -> Coroot:
@@ -107,13 +179,47 @@ def coroot(pair: BdsPair, alpha: Sequence[int]) -> Coroot:
 
 def h_alpha(c: Coroot, p: int) -> HPoly:
     """H_alpha[p] = sum_i c_i H[i,p]."""
-    return HPoly({((i, p),): Fraction(ci) for i, ci in enumerate(c, 1)})
+    return HPoly._make(1, {((i, p),): ci for i, ci in enumerate(c, 1) if ci})
+
+
+# Largest number of monomials in one u^N coefficient of the tensor square, the
+# largest polynomial a check at order N builds (see `tensor_square_sizes`).
+# It admits B3 at order 8 (15525) and E8 at order 4 (6460), and refuses E8 at
+# order 5 (33440).
+MAX_TENSOR_TERMS = 20_000
+
+
+def tensor_square_sizes(s: int) -> Iterator[int]:
+    """For N = 0, 1, ..., the number of monomials of weight N in the tensor
+    square generators (side, i, p), side in {0, 1}, i <= s: the coefficient of
+    u^N in prod_p (1 - u^p)^(-2s), by the Euler transform recurrence
+    N b_N = 2s * sum_{k=1}^{N} sigma(k) b_{N-k}, sigma the divisor sum.
+    Every coefficient of a check at order N has at most b_N monomials."""
+    sizes, sigma = [1], [0]
+    yield 1
+    for n in count(1):
+        sigma.append(sum(d for d in range(1, n + 1) if n % d == 0))
+        sizes.append(2 * s * sum(sigma[k] * sizes[n - k] for k in range(1, n + 1)) // n)
+        yield sizes[-1]
+
+
+def check_order(rank: int, N: int) -> None:
+    """Refuse an order N whose tensor square, for a root system of this rank,
+    has more than MAX_TENSOR_TERMS monomials at some u^n, n <= N.  The highest
+    coroot has support on every node, so s is the rank.  The sizes increase
+    with n, and b_n > n, so this takes at most MAX_TENSOR_TERMS steps whatever
+    N is, and it builds no polynomial."""
+    for n, size in zip(range(N + 1), tensor_square_sizes(rank)):
+        if size > MAX_TENSOR_TERMS:
+            raise ValueError(f"order {N} is too large for rank {rank}: the tensor square has "
+                             f"{size} monomials at u^{n}, above the limit {MAX_TENSOR_TERMS}")
 
 
 # Both caches are keyed by (coroot, order), so they are shared by every pair
-# and query with the same coroot.  The largest root system, E8, has 120
-# positive roots, hence at most 120 coroots: one garland-check on it keeps
-# 120 * (N + 1) P elements (4096 covers N <= 33) and 120 series.
+# and query with the same coroot.  The largest root systems, B12 and C12, have
+# 144 positive roots, hence at most 144 coroots, and one garland-check keeps
+# |R+| * (N + 1) P elements and |R+| series.  Under MAX_TENSOR_TERMS that is
+# at most 605 P elements (B11 or C11 at order 4), so 4096 holds several checks.
 @lru_cache(maxsize=4096)
 def p_element(c: Coroot, r: int) -> HPoly:
     """P[alpha, r] by the defining recursion."""
@@ -165,7 +271,7 @@ def product_formula_diff(c: Coroot, N: int):
 
 
 def _embed(poly: HPoly, side: int) -> HPoly:
-    return HPoly({tuple((side,) + k for k in m): c for m, c in poly.terms.items()})
+    return HPoly._make(poly.den, {tuple((side,) + k for k in m): c for m, c in poly.nums.items()})
 
 
 def grouplike_diff(c: Coroot, N: int):
@@ -173,7 +279,7 @@ def grouplike_diff(c: Coroot, N: int):
     must give sum_{s+t=r} P[alpha,s] (x) P[alpha,t].  Returns the first failing
     order and the two sides, or None."""
     ps = [p_element(c, r) for r in range(N + 1)]
-    keys = {k for p in ps for m in p.terms for k in m}
+    keys = {k for p in ps for m in p.nums for k in m}
     split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k) for k in keys}
     left, right = [_embed(p, 0) for p in ps], [_embed(p, 1) for p in ps]
     for r in range(N + 1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import and_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -583,29 +584,27 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _divide_one_minus_td(num: list[int], d: int) -> list[int] | None:
-    """Exact quotient num / (1 - t^d), or None when the division is inexact."""
-    num = _trim(list(num))
-    if len(num) <= d and num != [0]:
-        return None
-    q = [0] * len(num)
-    for k in range(len(num)):
-        q[k] = num[k] + (q[k - d] if k >= d else 0)
-    for k in range(max(0, len(num) - d), len(num)):
-        if q[k] != 0:
-            return None
-    return _trim(q[:max(1, len(num) - d)])
-
-
 def _cancel(num: Sequence[int], denom: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Cancel from num / prod (1 - t^d) every factor that divides num, the
+    largest d first; returns the numerator and the factors left, sorted.
+
+    (1 - t^d) divides N iff each residue class N[r::d] sums to 0, and then the
+    quotient is the running sums of each class with its last (zero) entry
+    dropped.  A failed division costs d sums over slices and no Python loop
+    over the coefficients.  A zero numerator is divided by every factor; an
+    empty one by none.
+    """
     num = _trim(list(num))
     remaining: list[int] = []
     for d in sorted(denom, reverse=True):
-        q = _divide_one_minus_td(num, d)
-        if q is not None:
-            num = q
-        else:
+        n = len(num)
+        if not num or any(sum(num[r::d]) for r in range(min(d, n))):
             remaining.append(d)
+            continue
+        q = num[:]
+        for r in range(min(d, n)):
+            q[r::d] = accumulate(num[r::d])
+        num = _trim(q[:max(1, n - d)])
     return num, sorted(remaining)
 
 

@@ -254,6 +254,29 @@ def test_garland_check(capsys):
     assert "pass" in out
 
 
+def test_garland_order_one_above_the_limit_exits_2_before_any_polynomial(capsys, monkeypatch):
+    # B3 at order 8 has 15525 tensor-square monomials at u^8: one above a
+    # limit of 15524, which the check refuses before any HPoly is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(garland, "MAX_TENSOR_TERMS", 15524)
+    monkeypatch.setattr(garland.HPoly, "_make", unreachable)
+    monkeypatch.setattr(garland.HPoly, "__init__", unreachable)
+    code, out, err = run(capsys, "garland-check", "B", "3", "--node", "3", "--order", "8")
+    assert (code, out) == (2, "")
+    assert err == ("error: order 8 is too large for rank 3: the tensor square has 15525 "
+                   "monomials at u^8, above the limit 15524\n")
+
+
+def test_garland_order_above_the_limit_exits_2(capsys):
+    for order in ("9", "1000000000"):
+        code, out, err = run(capsys, "garland-check", "B", "3", "--node", "3", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == (f"error: order {order} is too large for rank 3: the tensor square has "
+                       "36280 monomials at u^9, above the limit 20000\n")
+
+
 def test_oversized_presentation_exits_2(capsys):
     code, out, err = run(capsys, "hilbert", "G", "2", "--node", "1",
                          "--weight", "h0=99999999999", "--degree", "3")

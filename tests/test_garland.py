@@ -2,13 +2,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdsweyl
+from bdsweyl import garland
 from bdsweyl.bdspair import all_pairs, build_pair
 from bdsweyl.garland import (
     HPoly,
@@ -20,6 +24,7 @@ from bdsweyl.garland import (
     p_element,
     product_formula_diff,
     root_failures,
+    tensor_square_sizes,
 )
 
 B3 = build_pair("B", 3, rank=3)
@@ -166,3 +171,79 @@ def test_evaluation_is_a_ring_homomorphism(summands, p, q, mapping, point):
     assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
     inner = {k: evaluate(v, point) for k, v in mapping.items()}
     assert evaluate(p.substitute(mapping), point) == evaluate(p, inner)
+
+
+def fraction_product(a, b):
+    """Reference product of two monomial -> Fraction mappings, term by term."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_repr(poly):
+    """The rendering of the Fraction terms, each coefficient as str(Fraction)."""
+    terms = dict(poly.terms)
+    if not terms:
+        return "0"
+    return " + ".join(f"{terms[m]}*" + ("*".join(f"H{list(k)}" for k in m) or "1")
+                      for m in sorted(terms, key=lambda m: (len(m), m)))
+
+
+def no_fraction(*args):
+    raise AssertionError("a Fraction was built")
+
+
+def in_lowest_terms(poly):
+    return poly.den > 0 and gcd(poly.den, *poly.nums.values()) == 1 and 0 not in poly.nums.values()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, st.lists(polys, max_size=4), small_fractions, points)
+def test_integer_numerators_agree_with_fraction_terms(p, q, summands, c, point):
+    assert dict((p * q).terms) == fraction_product(p.terms, q.terms)
+    assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
+    assert evaluate(p.scale(c), point) == c * evaluate(p, point)
+    assert evaluate(p - q, point) == evaluate(p, point) - evaluate(q, point)
+    assert evaluate(HPoly.sum(summands), point) == sum(evaluate(x, point) for x in summands)
+    with mock.patch.object(garland, "Fraction", no_fraction):
+        product, total = p * q, HPoly.sum(summands)  # integer arithmetic only
+    for poly in (product, total, p.scale(c), p - q):
+        assert type(poly.den) is int and all(type(v) is int for v in poly.nums.values())
+        assert in_lowest_terms(poly)
+        assert all(isinstance(v, Fraction) for v in poly.terms.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys, polys)
+def test_equal_values_compare_equal_however_built(x, y):
+    assert (x.scale(Fraction(1, 3)) * y).scale(3) == x * y
+    assert HPoly.sum([x, y, x.scale(-1), y.scale(-1)]) == HPoly()
+    assert HPoly.sum([x, y]).scale(Fraction(2, 7)) == x.scale(Fraction(2, 7)) + y.scale(Fraction(2, 7))
+    assert HPoly(dict(x.terms)) == x
+    assert x.scale(0).is_zero() and x.scale(0) == HPoly()
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys, polys, small_fractions)
+def test_repr_renders_each_coefficient_as_str_fraction(x, y, c):
+    for poly in (x, x * y, (x - y).scale(c), HPoly()):
+        assert repr(poly) == reference_repr(poly)
+
+
+def test_tensor_square_sizes_count_the_coproduct_monomials():
+    assert list(islice(tensor_square_sizes(3), 9))[8] == 15525
+    assert list(islice(tensor_square_sizes(8), 6))[4:] == [6460, 33440]
+    # The coroot of the highest root has full support, so the coproduct of its
+    # P[alpha, r] has every monomial of weight r in the 2s tensor generators.
+    for pair, N in ((B3, 5), (build_pair("G", 2, rank=2), 6)):
+        c = coroot(pair, pair.rs.theta)
+        assert all(c)
+        sizes = list(islice(tensor_square_sizes(pair.rs.rank), N + 1))
+        for r in range(N + 1):
+            p = p_element(c, r)
+            split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k)
+                     for m in p.terms for k in m}
+            assert len(p.substitute(split).terms) == sizes[r]

@@ -56,7 +56,10 @@ GOLDEN = [
 # lam(h_0): these digests were recorded with the per-(state, top level) DP
 # that came before the telescoped numerator.  C8 at node 4, with five
 # constrained nodes of large cap: these were recorded with the dense product
-# per (state, level) at every node but the last.
+# per (state, level) at every node but the last.  E8 at order 3 and B3 at
+# order 8, the largest rank and the deepest order of garland-check: these were
+# recorded with a Fraction for every HPoly coefficient, before the integer
+# numerators.
 FRONTIER = [
     ("hilbert B 12 --node 12 --weight h11=10,h0=60 --degree 80",
      "1a3c5f2a84c323e8d58e56a7f565990c9378b3d30fdea1ddb03fa22f88a57f8d"),
@@ -66,6 +69,10 @@ FRONTIER = [
      "300197dccd99c8ea27892e9598b37ab1cc193b532f039e519705a427d54c6714"),
     ("hilbert C 8 --node 4 --weight h5=20,h6=20,h7=20,h8=20,h0=40 --degree 20",
      "215b2bcc46e4137902f79c6e7f21ffd5856667719706ae018b9b8561e074a795"),
+    ("garland-check E 8 --node 4 --order 3",
+     "1f73b2ceea7bb07b65d9eebedd87256983bf0939d648d6729aed2fbc1e194266"),
+    ("garland-check B 3 --node 3 --order 8",
+     "f5d35b3688f5167a7e90d138f7d59de09a539f8152f55ae481b9423f5381cbfe"),
 ]
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from functools import reduce
 from itertools import combinations, product, zip_longest
 
 import pytest
@@ -516,3 +517,44 @@ def test_telescoped_closed_form_matches_level_dp(jac_zero, data):
     assert _trim(list(form.numerator)) == _trim(list(oracle.numerator))
     if jac_zero:
         assert _cancel(form.numerator, form.denominator) == _cancel(oracle.numerator, oracle.denominator)
+
+
+# Oracle for `_cancel`: one Python pass over the numerator per factor, the
+# long division that `_cancel` replaced by residue-class sums.
+def _divide_one_minus_td(num, d):
+    """Exact quotient num / (1 - t^d), or None when the division is inexact."""
+    num = _trim(list(num))
+    if len(num) <= d and num != [0]:
+        return None
+    q = [0] * len(num)
+    for k in range(len(num)):
+        q[k] = num[k] + (q[k - d] if k >= d else 0)
+    for k in range(max(0, len(num) - d), len(num)):
+        if q[k] != 0:
+            return None
+    return _trim(q[:max(1, len(num) - d)])
+
+
+def _cancel_by_division(num, denom):
+    num = _trim(list(num))
+    remaining = []
+    for d in sorted(denom, reverse=True):
+        q = _divide_one_minus_td(num, d)
+        if q is not None:
+            num = q
+        else:
+            remaining.append(d)
+    return num, sorted(remaining)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(st.integers(-3, 3), max_size=12),
+       factors=st.lists(st.integers(1, 8), max_size=5),
+       extra=st.lists(st.integers(1, 8), max_size=4))
+def test_cancel_matches_long_division(base, factors, extra):
+    # base * prod (1 - t^d) over `factors` divides exactly by those factors;
+    # `extra` adds factors that may or may not divide.
+    num = reduce(lambda p, d: _mul(p, [1] + [0] * (d - 1) + [-1]), factors, base)
+    for denom in (factors + extra, extra):
+        assert _cancel(num, denom) == _cancel_by_division(num, denom)
+        assert _cancel(base, denom) == _cancel_by_division(base, denom)
