@@ -2,18 +2,19 @@
 
 Subcommands: pair, alambda, hilbert, localdim, idealpoint, garland-check,
 verify-all.  Output is deterministic text or JSON (schema documented in
-docs/json-schema-v1.md; rationals are rendered as exact 'p/q' strings).
+docs/json-schema-v1.md; rationals are rendered as exact 'p/q' strings), the
+JSON written by `_dumps`.
 Exit codes: 0 success, 1 property failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
@@ -22,6 +23,48 @@ from .srring import HilbertSeries, SRPresentation, Weight0, parse_weight_spec, p
 from .verify import draw_eval_params, run_all
 
 SCHEMA_VERSION = 1
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for the payload types only.
+
+    Dicts with str keys, lists and tuples, str (escaped to ASCII by json's own
+    encoder), exact int, True, False and None; anything else, a float or a
+    non-str key included, raises TypeError (a key, from that encoder).  `pad`
+    is the newline and indent that close obj; each item of a container goes
+    one level deeper.  A list of exact ints is written with one join.  The
+    f-strings build each container in one allocation, where a chain of `+`
+    would copy a 10 MB facet list at every `+`.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if [x for x in obj if type(x) is not int]:
+            body = [_dumps(x, inner) for x in obj]
+        else:
+            body = map(int.__repr__, obj)
+        sep = "," + inner
+        return f"[{inner}{sep.join(body)}{pad}]"
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        sep = "," + inner
+        return f"{{{inner}{sep.join(body)}{pad}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"{t.__name__} is not written as JSON")
 
 
 def _resolve_pair(args) -> BdsPair:
@@ -106,7 +149,7 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
         "presentation": pres.format(),
         "krull_dim": pres.krull_dim(),
         "d_lambda": pres.d_lambda() if pres.jac_zero else None,
-        "facets": sorted(sorted([v.node, v.level] for v in f) for f in sc.facets),
+        "facets": [[[v.node, v.level] for v in sorted(f)] for f in sc.facets],
         "hilbert": _hilbert_payload(pres.hilbert_series(degree)),
         "flags": {
             "jac_zero": flags["jac_zero"],
@@ -127,6 +170,8 @@ def cmd_alambda(args):
     lam = _resolve_weight(pair, args)
     pres = presentation(pair, lam)
     payload = {"pair": _pair_payload(pair), **_presentation_payload(pres, args.degree)}
+    if args.format == "json":
+        return payload, [], 0
     v = payload["verdicts"]
     f = payload["flags"]
     text = [
@@ -309,7 +354,7 @@ def main(argv=None) -> int:
         return 1
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        text = [json.dumps(payload, sort_keys=True, indent=2)]
+        text = [_dumps(payload)]
     try:
         print("\n".join(text))
         sys.stdout.flush()

@@ -252,14 +252,17 @@ class SRPresentation:
                 caps[i] = min(self.lam[i], self.h0 // c)
         return caps
 
-    def _var(self, i: int, r: int) -> SRVariable:
-        return SRVariable(i, r, self.pair.a_j * r)
-
     @cached_property
     def variables(self) -> tuple[SRVariable, ...]:
-        return tuple(self._var(i, r)
-                     for i in self.pair.rs.nodes
-                     for r in range(1, self.caps[i] + 1))
+        return tuple(v for i in self.pair.rs.nodes for v in self._by_node[i])
+
+    @cached_property
+    def _by_node(self) -> dict[int, tuple[SRVariable, ...]]:
+        """The variables of each node by level: `_by_node[i][r - 1]` is P[i, r].
+        Facets and generators are built from these objects, never from copies."""
+        a_j = self.pair.a_j
+        return {i: tuple(SRVariable(i, r, a_j * r) for r in range(1, self.caps[i] + 1))
+                for i in self.pair.rs.nodes}
 
     @cached_property
     def _variable_set(self) -> frozenset:
@@ -304,6 +307,7 @@ class SRPresentation:
         nodes = self.constrained_nodes
         weights = [self.comarks[i - 1] for i in nodes]
         caps = [self.caps[i] for i in nodes]
+        by_node = self._by_node
         out = []
         # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
         stack = [(0, 0, self.h0 + 1, ())]
@@ -311,7 +315,7 @@ class SRPresentation:
             idx, total, least, levels = stack.pop()
             if idx == len(nodes):
                 if total > self.h0:
-                    out.append(frozenset(self._var(i, r) for i, r in zip(nodes, levels) if r > 0))
+                    out.append(frozenset(by_node[i][r - 1] for i, r in zip(nodes, levels) if r))
                 continue
             w = weights[idx]
             for r in range(caps[idx] + 1):
@@ -338,7 +342,13 @@ class SRPresentation:
 
     def _facet_tuples(self) -> list[dict[int, int]]:
         """Per-node top levels of the maximal faces, on the constrained nodes
-        (an explicit-stack walk, like `generators`)."""
+        (an explicit-stack walk, like `generators`).
+
+        Levels are pushed in ascending order, so they pop in descending
+        lexicographic order of the top-level tuples.  That is the order of the
+        facets sorted as sorted variable lists: at the first node where two
+        tuples differ, the larger top puts P[i, s + 1] where the other facet
+        has a variable of a later node (it cannot end there, being maximal)."""
         nodes = self.constrained_nodes
         weights = [self.comarks[i - 1] for i in nodes]
         caps = [self.caps[i] for i in nodes]
@@ -356,16 +366,17 @@ class SRPresentation:
         return out
 
     def _facet_from_tops(self, tops: Mapping[int, int]) -> frozenset:
-        members = [self._var(i, r) for i in self.free_nodes for r in range(1, self.caps[i] + 1)]
+        by_node = self._by_node
+        members = [v for i in self.free_nodes for v in by_node[i]]
         for i, m in tops.items():
-            members.extend(self._var(i, r) for r in range(1, m + 1))
+            members += by_node[i][:m]
         return frozenset(members)
 
     @cached_property
     def _complex(self) -> SimplicialComplex:
-        facets = sorted({self._facet_from_tops(t) for t in self._facet_tuples()},
-                        key=lambda f: sorted(f))
-        return SimplicialComplex(self.variables, tuple(facets))
+        """The facets in walk order, which is their sorted order (`_facet_tuples`)."""
+        facets = tuple(map(self._facet_from_tops, self._facet_tuples()))
+        return SimplicialComplex(self.variables, facets)
 
     def facets(self) -> SimplicialComplex:
         """The simplicial complex of the presentation, built once."""

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdsweyl
 from bdsweyl import garland, srring, verify
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import main
+from bdsweyl.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -341,3 +343,28 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Every value the JSON writer accepts; json.dumps with the CLI's settings is the oracle.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, [0, 2.0], {"k": {True: 1}}, [1, object()]],
+                         ids=["float", "int_key", "float_in_int_list", "bool_key", "object"])
+def test_dumps_rejects_what_the_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def test_cli_does_not_import_json():
+    assert not hasattr(bdsweyl.cli, "json")

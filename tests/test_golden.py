@@ -1,4 +1,5 @@
-"""Golden corpus: SHA-256 of the JSON stdout of a fixed set of CLI runs.
+"""Golden corpus: SHA-256 of the JSON stdout of a fixed set of CLI runs, and
+of the text stdout of one of them.
 
 The digests pin the exact bytes printed by every subcommand, including the
 Hilbert series on both sides of jac_zero (comark 1 at j, where the closed
@@ -59,7 +60,12 @@ GOLDEN = [
 # per (state, level) at every node but the last.  E8 at order 3 and B3 at
 # order 8, the largest rank and the deepest order of garland-check: these were
 # recorded with a Fraction for every HPoly coefficient, before the integer
-# numerators.
+# numerators.  D10 at node 5, comark 2 at j with 936 facets, the largest
+# facet list pinned: recorded with json.dumps and the facets sorted after the
+# walk.
+D10_ALAMBDA = ("alambda D 10 --node 5 --weight h1=3,h2=3,h3=3,h4=3,h6=3,h7=3,h8=3,h9=3,h10=3,h0=12"
+               " --degree 48")
+
 FRONTIER = [
     ("hilbert B 12 --node 12 --weight h11=10,h0=60 --degree 80",
      "1a3c5f2a84c323e8d58e56a7f565990c9378b3d30fdea1ddb03fa22f88a57f8d"),
@@ -73,6 +79,8 @@ FRONTIER = [
      "1f73b2ceea7bb07b65d9eebedd87256983bf0939d648d6729aed2fbc1e194266"),
     ("garland-check B 3 --node 3 --order 8",
      "f5d35b3688f5167a7e90d138f7d59de09a539f8152f55ae481b9423f5381cbfe"),
+    (D10_ALAMBDA,
+     "e96609b965bd21ea1b537a53ff76e8971e1999e0e869a8286237c630689094ba"),
 ]
 
 
@@ -90,6 +98,15 @@ def test_scale_frontier_json_stdout(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scale_frontier_text_stdout(capsys):
+    # the text report of the D10 query, facets line included, without --format
+    code = main(D10_ALAMBDA.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eaa759ea57c9da060d68eb64e79f1a1012b0bb7f2731f3ca4aab9a6cdbdfe3d9")
 
 
 def test_one_parser_serves_every_query(capsys):

@@ -1,0 +1,50 @@
+"""The JSON stdout of every golden and frontier query validates against the
+machine-readable schema in docs/json-schema-v1.json."""
+
+import json
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from bdsweyl.cli import main
+from test_golden import FRONTIER, GOLDEN
+
+SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "json-schema-v1.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+QUERIES = [c for c, _ in GOLDEN + FRONTIER]
+
+
+def json_stdout(capsys, command):
+    assert main(command.split() + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_schema_is_valid_and_covers_every_subcommand():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    commands = set(SCHEMA["properties"]["command"]["enum"])
+    assert commands == {c.split()[0] for c in QUERIES}
+    assert len(commands) == 7
+
+
+@pytest.mark.parametrize("command", QUERIES)
+def test_json_stdout_matches_the_schema(capsys, command):
+    VALIDATOR.validate(json_stdout(capsys, command))
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.pop("facets"),
+    lambda p: p.update(extra=1),
+    lambda p: p["pair"].update(extra=1),
+    lambda p: p["flags"].update(koszul="false"),
+    lambda p: p["hilbert"].update(degree=-1),
+    lambda p: p["facets"][0].append([1]),
+    lambda p: p.update(command="nope"),
+], ids=["missing_key", "extra_key", "extra_pair_key", "koszul_false", "negative_degree",
+        "short_node_level", "unknown_command"])
+def test_schema_rejects_a_changed_payload(capsys, change):
+    payload = json_stdout(capsys, GOLDEN[2][0])
+    VALIDATOR.validate(payload)
+    change(payload)
+    with pytest.raises(jsonschema.ValidationError):
+        VALIDATOR.validate(payload)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdsweyl.bdspair import all_pairs, build_pair
+from bdsweyl.cli import _presentation_payload
 from bdsweyl.srring import (
     MAX_NUMERATOR_LENGTH,
     ClosedForm,
@@ -439,6 +440,32 @@ def test_presentation_is_freed_by_refcount(derive):
             assert ref() is None
     finally:
         gc.enable()
+
+
+ALL_PAIRS_8 = all_pairs(8)
+
+
+def facets_by_sorting(pres):
+    """Oracle: the facet order before the walk order was kept, a set of the
+    walk's facets sorted as sorted variable lists."""
+    return tuple(sorted({pres._facet_from_tops(t) for t in pres._facet_tuples()},
+                        key=lambda f: sorted(f)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_facets_come_in_sorted_order(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    facets = pres.facets().facets
+    assert facets == facets_by_sorting(pres)
+    # the payload rows, once sorted twice over
+    old_rows = sorted(sorted([v.node, v.level] for v in f) for f in facets)
+    assert _presentation_payload(pres, 0)["facets"] == old_rows
+    # every facet and generator holds the presentation's own variable objects
+    own = {id(v) for v in pres.variables}
+    assert all(id(v) in own for f in facets + pres.generators for v in f)
 
 
 def test_rejects_weight_with_bad_keys():
