@@ -15,25 +15,30 @@ over simple roots, and the group-like coproduct property.  Every identity
 takes the coroot vector c; `coroot(pair, alpha)` is the entry point from a
 positive root of a pair.
 
+In the tensor square, node i of the second factor is named i + n.  The
+coproduct H -> H (x) 1 + 1 (x) H is the ring map H[i,p] -> H[i,p] + H[i+n,p],
+which sends H_alpha[p] to H_{c+c}[p], so the coproduct of P[alpha, r] is the
+recursion run on the doubled coroot c + c.
+
 An `HPoly` keeps integer numerators over one denominator per polynomial, so
 the identities are checked in integer arithmetic.  The largest polynomial a
-check at order N builds is a u^N coefficient of the tensor square; its
-monomials are counted before anything is built (`tensor_square_sizes`), and
-`check_order` refuses an order whose count is above MAX_TENSOR_TERMS.
+check at order N builds is the doubled series at u^N; its monomials are
+counted before anything is built (`tensor_square_sizes`), and `check_order`
+refuses an order whose count is above MAX_TENSOR_TERMS.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 
 from .bdspair import BdsPair
 from .rootsys import require
 
-Key = tuple  # (i, p) for plain generators, (side, i, p) inside tensor squares
+Key = tuple  # (i, p) for H[i,p]; in a tensor square, i > n is node i - n of the second factor
 Monomial = tuple  # sorted tuple of keys, with repetition
 Coroot = tuple  # (c_1, ..., c_n) with h_alpha = sum_i c_i h_i
 
@@ -104,10 +109,6 @@ class HPoly:
     def const(cls, c) -> "HPoly":
         return cls({(): c})
 
-    @classmethod
-    def variable(cls, key: Key) -> "HPoly":
-        return cls._make(1, {(key,): 1})
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -135,10 +136,6 @@ class HPoly:
                 m = tuple(sorted(m1 + m2))
                 out[m] = get(m, 0) + c1 * c2
         return HPoly._reduced(self.den * other.den, out)
-
-    def substitute(self, mapping: Mapping[Key, "HPoly"]) -> "HPoly":
-        return HPoly.sum(reduce(lambda term, key: term * mapping[key], m, HPoly.const(c))
-                         for m, c in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.nums:
@@ -182,19 +179,19 @@ def h_alpha(c: Coroot, p: int) -> HPoly:
     return HPoly._make(1, {((i, p),): ci for i, ci in enumerate(c, 1) if ci})
 
 
-# Largest number of monomials in one u^N coefficient of the tensor square, the
-# largest polynomial a check at order N builds (see `tensor_square_sizes`).
-# It admits B3 at order 8 (15525) and E8 at order 4 (6460), and refuses E8 at
+# Largest number of monomials in the doubled series at u^N, the largest
+# polynomial a check at order N builds: the b_N of `tensor_square_sizes`.  It
+# admits B3 at order 8 (15525) and E8 at order 4 (6460), and refuses E8 at
 # order 5 (33440).
 MAX_TENSOR_TERMS = 20_000
 
 
 def tensor_square_sizes(s: int) -> Iterator[int]:
-    """For N = 0, 1, ..., the number of monomials of weight N in the tensor
-    square generators (side, i, p), side in {0, 1}, i <= s: the coefficient of
-    u^N in prod_p (1 - u^p)^(-2s), by the Euler transform recurrence
-    N b_N = 2s * sum_{k=1}^{N} sigma(k) b_{N-k}, sigma the divisor sum.
-    Every coefficient of a check at order N has at most b_N monomials."""
+    """For N = 0, 1, ..., the number b_N of monomials of weight N in the tensor
+    square generators H[i,p], i <= 2s: the coefficient of u^N in
+    prod_p (1 - u^p)^(-2s), by the Euler transform recurrence
+    N b_N = 2s * sum_{k=1}^{N} sigma(k) b_{N-k}, sigma the divisor sum.  The
+    doubled series of a coroot with full support has b_N monomials at u^N."""
     sizes, sigma = [1], [0]
     yield 1
     for n in count(1):
@@ -204,7 +201,7 @@ def tensor_square_sizes(s: int) -> Iterator[int]:
 
 
 def check_order(rank: int, N: int) -> None:
-    """Refuse an order N whose tensor square, for a root system of this rank,
+    """Refuse an order N whose doubled series, for a root system of this rank,
     has more than MAX_TENSOR_TERMS monomials at some u^n, n <= N.  The highest
     coroot has support on every node, so s is the rank.  The sizes increase
     with n, and b_n > n, so this takes at most MAX_TENSOR_TERMS steps whatever
@@ -227,8 +224,13 @@ def p_element(c: Coroot, r: int) -> HPoly:
         raise ValueError("order must be non-negative")
     if r == 0:
         return HPoly.const(1)
-    total = HPoly.sum(h_alpha(c, p) * p_element(c, r - p) for p in range(1, r + 1))
-    return total.scale(Fraction(-1, r))
+    return _next_p(c, [p_element(c, k) for k in range(r)])
+
+
+def _next_p(c: Coroot, ps: Sequence[HPoly]) -> HPoly:
+    """One step of the recursion: P[r] from ps = P[0..r-1]."""
+    r = len(ps)
+    return HPoly.sum(h_alpha(c, p) * ps[r - p] for p in range(1, r + 1)).scale(Fraction(-1, r))
 
 
 @lru_cache(maxsize=1024)
@@ -254,40 +256,42 @@ def _series_mul(a: Sequence[HPoly], b: Sequence[HPoly], N: int) -> list[HPoly]:
     return [HPoly.sum(a[i] * b[r - i] for i in range(r + 1)) for r in range(N + 1)]
 
 
+def _first_diff(lhs: Iterable[HPoly], rhs: Iterable[HPoly]):
+    """The first order where two series differ, with both coefficients, or None."""
+    for r, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            return r, a, b
+    return None
+
+
 def product_formula_diff(c: Coroot, N: int):
     """First coefficient where P_alpha(u) differs from the product over simple
     roots of P_{alpha_i}(u)^{c_i}; None when they agree to order N.  The
     coroot of the simple root alpha_i is the unit vector e_i."""
-    lhs = exp_series(c, N)
     rhs = [HPoly.const(1)] + [HPoly()] * N
     for i, ci in enumerate(c):
         e_i = tuple(int(k == i) for k in range(len(c)))
         for _ in range(ci):
             rhs = _series_mul(rhs, exp_series(e_i, N), N)
-    for r in range(N + 1):
-        if lhs[r] != rhs[r]:
-            return r, lhs[r], rhs[r]
-    return None
+    return _first_diff(exp_series(c, N), rhs)
 
 
-def _embed(poly: HPoly, side: int) -> HPoly:
-    return HPoly._make(poly.den, {tuple((side,) + k for k in m): c for m, c in poly.nums.items()})
+def _doubled_series(c: Coroot, N: int) -> list[HPoly]:
+    """The coproduct of P[alpha, 0..N]: the recursion on c + c, never cached."""
+    ps = [HPoly.const(1)]
+    for _ in range(N):
+        ps.append(_next_p(c + c, ps))
+    return ps
 
 
 def grouplike_diff(c: Coroot, N: int):
-    """Check the coproduct identity: applying H -> H(x)1 + 1(x)H to P[alpha,r]
-    must give sum_{s+t=r} P[alpha,s] (x) P[alpha,t].  Returns the first failing
-    order and the two sides, or None."""
-    ps = [p_element(c, r) for r in range(N + 1)]
-    keys = {k for p in ps for m in p.nums for k in m}
-    split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k) for k in keys}
-    left, right = [_embed(p, 0) for p in ps], [_embed(p, 1) for p in ps]
-    for r in range(N + 1):
-        lhs = ps[r].substitute(split)
-        rhs = HPoly.sum(left[s] * right[r - s] for s in range(r + 1))
-        if lhs != rhs:
-            return r, lhs, rhs
-    return None
+    """Check the coproduct identity: applying H -> H(x)1 + 1(x)H to P[alpha,r],
+    which is the recursion on c + c, must give sum_{s+t=r} P[alpha,s] (x)
+    P[alpha,t].  Returns the first failing order and the two sides, or None."""
+    n, ps = len(c), [p_element(c, r) for r in range(N + 1)]
+    shifted = [HPoly._make(p.den, {tuple((i + n, q) for i, q in m): v for m, v in p.nums.items()})
+               for p in ps]
+    return _first_diff(_doubled_series(c, N), _series_mul(ps, shifted, N))
 
 
 def newton_identity_holds(c: Coroot, r: int) -> bool:

@@ -141,17 +141,20 @@ class SimplicialComplex:
         return len(sizes) <= 1
 
 
+def _attaches(earlier: Iterable[frozenset], cand: frozenset) -> bool:
+    """The shelling step: every maximal intersection of cand with an earlier
+    facet has len(cand) - 1 vertices.  True when nothing came earlier."""
+    inters = {f & cand for f in earlier}
+    maximal = [a for a in inters if not any(a < b for b in inters)]
+    return all(len(a) == len(cand) - 1 for a in maximal)
+
+
 def verify_shelling(complex_: SimplicialComplex, order: Sequence[frozenset]) -> bool:
     """Literal shelling test: each facet must meet the union of the earlier
     ones in a pure subcomplex of dimension dim(F_r) - 1."""
     if sorted(map(sorted, order)) != sorted(map(sorted, complex_.facets)):
         raise ValueError("order is not a permutation of the facet list")
-    for r in range(1, len(order)):
-        inters = {order[i] & order[r] for i in range(r)}
-        maximal = [a for a in inters if not any(a < b for b in inters)]
-        if any(len(a) != len(order[r]) - 1 for a in maximal):
-            return False
-    return True
+    return all(_attaches(order[:r], order[r]) for r in range(1, len(order)))
 
 
 def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
@@ -159,15 +162,7 @@ def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
     steps; None means 'not found within budget', never 'not shellable'."""
     budget = 20000
     facets = list(complex_.facets)
-    if len(facets) <= 1:
-        return tuple(facets)
-
     steps = [0]
-
-    def ok_next(prefix: list[frozenset], cand: frozenset) -> bool:
-        inters = {f & cand for f in prefix}
-        maximal = [a for a in inters if not any(a < b for b in inters)]
-        return all(len(a) == len(cand) - 1 for a in maximal)
 
     def extend(prefix: list[frozenset], rest: list[frozenset]):
         if steps[0] > budget:
@@ -176,7 +171,7 @@ def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
             return tuple(prefix)
         for k, cand in enumerate(rest):
             steps[0] += 1
-            if not prefix or ok_next(prefix, cand):
+            if _attaches(prefix, cand):
                 got = extend(prefix + [cand], rest[:k] + rest[k + 1:])
                 if got is not None:
                     return got

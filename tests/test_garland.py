@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import gcd
 from pathlib import Path
@@ -30,9 +31,34 @@ from bdsweyl.garland import (
 B3 = build_pair("B", 3, rank=3)
 
 
+def variable(key):
+    """The generator H[key] as a polynomial."""
+    return HPoly({(key,): 1})
+
+
+def substitute(poly, mapping):
+    """Oracle: the literal substitution of mapping[key] for every key of every
+    monomial, one product per key.  Production code never substitutes: the
+    coproduct goes by the recursion on the doubled coroot."""
+    return HPoly.sum(reduce(lambda term, key: term * mapping[key], m, HPoly.const(c))
+                     for m, c in poly.terms.items())
+
+
+def coproduct(poly, n):
+    """Oracle: H[i,p] -> H[i,p] + H[i+n,p] by literal substitution, node i of
+    the second tensor factor named i + n."""
+    split = {k: variable(k) + variable((k[0] + n, k[1])) for m in poly.terms for k in m}
+    return substitute(poly, split)
+
+
+def shift(poly, n):
+    """poly in the second tensor factor: node i renamed i + n."""
+    return HPoly({tuple((i + n, p) for i, p in m): c for m, c in poly.terms.items()})
+
+
 def test_hpoly_arithmetic():
-    x = HPoly.variable((1, 1))
-    y = HPoly.variable((2, 1))
+    x = variable((1, 1))
+    y = variable((2, 1))
     assert (x + y) * (x - y) == x * x - y * y
     assert (x - x).is_zero()
     assert HPoly.const(Fraction(1, 2)).scale(2) == HPoly.const(1)
@@ -51,7 +77,7 @@ def test_p_element_small_orders():
 def test_h_alpha_expansion():
     # h of alpha_0 = h_2 + h_3 for B_3
     poly = h_alpha(coroot(B3, B3.alpha0), 1)
-    assert poly == HPoly.variable((2, 1)) + HPoly.variable((3, 1))
+    assert poly == variable((2, 1)) + variable((3, 1))
     with pytest.raises(ValueError):
         coroot(B3, (1, 0, 1))
 
@@ -110,11 +136,8 @@ def test_grouplike_order_one_is_primitivity():
     # at order 1 the identity is exactly primitivity of -H_alpha[1]
     alpha = B3.alpha0
     p1 = p_element(coroot(B3, alpha), 1)
-    keys = {k for m in p1.terms for k in m}
-    split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k) for k in keys}
-    lhs = p1.substitute(split)
-    left = HPoly({tuple((0,) + k for k in m): c for m, c in p1.terms.items()})
-    right = HPoly({tuple((1,) + k for k in m): c for m, c in p1.terms.items()})
+    lhs = coproduct(p1, 3)
+    left, right = p1, shift(p1, 3)
     assert lhs == left + right
 
 
@@ -170,7 +193,7 @@ def test_evaluation_is_a_ring_homomorphism(summands, p, q, mapping, point):
     assert evaluate(p + q, point) == evaluate(p, point) + evaluate(q, point)
     assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
     inner = {k: evaluate(v, point) for k, v in mapping.items()}
-    assert evaluate(p.substitute(mapping), point) == evaluate(p, inner)
+    assert evaluate(substitute(p, mapping), point) == evaluate(p, inner)
 
 
 def fraction_product(a, b):
@@ -242,8 +265,20 @@ def test_tensor_square_sizes_count_the_coproduct_monomials():
         c = coroot(pair, pair.rs.theta)
         assert all(c)
         sizes = list(islice(tensor_square_sizes(pair.rs.rank), N + 1))
+        doubled = garland._doubled_series(c, N)
         for r in range(N + 1):
-            p = p_element(c, r)
-            split = {k: HPoly.variable((0,) + k) + HPoly.variable((1,) + k)
-                     for m in p.terms for k in m}
-            assert len(p.substitute(split).terms) == sizes[r]
+            assert len(coproduct(p_element(c, r), len(c)).terms) == sizes[r]
+            assert len(doubled[r].terms) == sizes[r]
+
+
+# every distinct coroot of a positive root over the pairs up to rank 6
+COROOTS = sorted({coroot(pair, alpha) for pair in all_pairs(6) for alpha in pair.rs.positive_roots})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(COROOTS), st.integers(min_value=0, max_value=4))
+def test_doubled_series_is_the_coproduct_by_substitution(c, N):
+    doubled = garland._doubled_series(c, N)
+    assert len(doubled) == N + 1
+    for r in range(N + 1):
+        assert doubled[r] == coproduct(p_element(c, r), len(c))

@@ -85,17 +85,15 @@ FRONTIER = [
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_golden_json_stdout(capsys, command, digest):
-    code = main(command.split() + ["--format", "json"])
-    out = capsys.readouterr().out
+def test_golden_json_stdout(json_run, command, digest):
+    code, out = json_run(command)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command,digest", FRONTIER, ids=[c for c, _ in FRONTIER])
-def test_scale_frontier_json_stdout(capsys, command, digest):
-    code = main(command.split() + ["--format", "json"])
-    out = capsys.readouterr().out
+def test_scale_frontier_json_stdout(json_run, command, digest):
+    code, out = json_run(command)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

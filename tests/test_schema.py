@@ -7,7 +7,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bdsweyl.cli import main
 from test_golden import FRONTIER, GOLDEN
 
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "json-schema-v1.json").read_text())
@@ -15,9 +14,11 @@ VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 QUERIES = [c for c, _ in GOLDEN + FRONTIER]
 
 
-def json_stdout(capsys, command):
-    assert main(command.split() + ["--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)
+def json_stdout(json_run, command):
+    """A freshly parsed payload of the session's one run of the command."""
+    code, out = json_run(command)
+    assert code == 0
+    return json.loads(out)
 
 
 def test_schema_is_valid_and_covers_every_subcommand():
@@ -28,8 +29,8 @@ def test_schema_is_valid_and_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("command", QUERIES)
-def test_json_stdout_matches_the_schema(capsys, command):
-    VALIDATOR.validate(json_stdout(capsys, command))
+def test_json_stdout_matches_the_schema(json_run, command):
+    VALIDATOR.validate(json_stdout(json_run, command))
 
 
 @pytest.mark.parametrize("change", [
@@ -42,8 +43,8 @@ def test_json_stdout_matches_the_schema(capsys, command):
     lambda p: p.update(command="nope"),
 ], ids=["missing_key", "extra_key", "extra_pair_key", "koszul_false", "negative_degree",
         "short_node_level", "unknown_command"])
-def test_schema_rejects_a_changed_payload(capsys, change):
-    payload = json_stdout(capsys, GOLDEN[2][0])
+def test_schema_rejects_a_changed_payload(json_run, change):
+    payload = json_stdout(json_run, GOLDEN[2][0])
     VALIDATOR.validate(payload)
     change(payload)
     with pytest.raises(jsonschema.ValidationError):
