@@ -84,9 +84,11 @@ class BdsPair:
 
     @cached_property
     def g0_cartan(self) -> tuple[tuple[int, ...], ...]:
-        """Cartan matrix of Delta_0 (entries <delta_q, delta_p^vee>)."""
-        return tuple(tuple(self.rs.coroot_pairing(dq, dp) for dq in self.delta0)
-                     for dp in self.delta0)
+        """Cartan matrix of Delta_0 (entries <delta_q, delta_p^vee>), column q from
+        `g0_weight_values(delta_q)`; the 2s on the diagonal check the comark sum at alpha_0."""
+        cartan = tuple(zip(*(self.g0_weight_values(d).values() for d in self.delta0)))
+        require(all(row[p] == 2 for p, row in enumerate(cartan)), "g0_cartan: diagonal entry != 2: {}", cartan)
+        return cartan
 
     @cached_property
     def g0_components(self) -> tuple[str, ...]:
@@ -124,8 +126,8 @@ class BdsPair:
         return len(self.graded_roots(k)) + (self.rs.rank if k == 0 else 0)
 
     def theta_k(self, k: int) -> Root:
-        """The unique alpha in R_k^+ orthogonal-or-positive against Delta_0 with
-        alpha + delta never a root (the dominant element of the graded piece).
+        """The unique Delta_0-dominant alpha in R_k^+ (every <alpha, delta^vee> >= 0)
+        with alpha + delta never a root (the dominant element of the graded piece).
         Scanned and checked once per pair and grade, then kept."""
         if not 1 <= k < self.a_j:
             raise ValueError(f"grade {k} out of range 1..{self.a_j - 1}")
@@ -134,8 +136,8 @@ class BdsPair:
         rs = self.rs
         positive = self.graded_positive(k)
         cands = [a for a in positive
-                 if not any(rs.form(a, d) < 0 or rs.is_root(tuple(x + y for x, y in zip(a, d)))
-                            for d in self.delta0)]
+                 if min(self.g0_weight_values(a).values()) >= 0
+                 and not any(rs.is_root(tuple(x + y for x, y in zip(a, d))) for d in self.delta0)]
         require(len(cands) == 1, "theta_{}: expected a unique dominant element, got {}", k, cands)
         th = cands[0]
         require(all(c > 0 for c in th), "theta_{}: dominant graded element must have full support", k)
@@ -200,16 +202,20 @@ class BdsPair:
         return tuple(v[i - 1] - m * self.alpha0[i - 1] for i in self.i_complement) + (m,)
 
     def g0_weight_values(self, v: Sequence[int]) -> dict[int, int]:
-        """Values <v, delta^vee> over Delta_0, keyed by the Delta_0 labels."""
-        return {label: self.rs.coroot_pairing(v, d)
-                for label, d in zip(self.delta0_labels, self.delta0)}
+        """Values <v, delta^vee> over Delta_0, keyed by the Delta_0 labels, with no quotient:
+        the Cartan row at i in I(j), and at alpha_0 the comark sum sum_i c_i <v, alpha_i^vee>."""
+        rows = [self.rs.pairing(v, i) for i in self.rs.nodes]
+        values = {i: rows[i - 1] for i in self.i_complement}
+        values[0] = sum(c * r for c, r in zip(self.comarks_alpha0, rows))
+        return values
 
     def g0_coroot_coordinates(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Expansion of the coroot of a (a in R_0) over the coroots of Delta_0."""
-        form = self.rs.form
-        sq_a = form(a, a)
-        return tuple(exact_quotient(m * form(d, d), sq_a, "Delta_0 coroot coefficient")
-                     for m, d in zip(self.delta0_coordinates(a), self.delta0))
+        """Expansion of the coroot of a (a in R_0) over the coroots of Delta_0: each
+        Delta_0 coefficient times d_alpha(a) / d_delta, with d_delta = 1 at alpha_0 (long)."""
+        d_a = self.rs.d_alpha(a)
+        d_delta = [self.rs.d[i - 1] for i in self.i_complement] + [1]
+        return tuple(exact_quotient(m * d_a, d, "Delta_0 coroot coefficient")
+                     for m, d in zip(self.delta0_coordinates(a), d_delta))
 
     def g0_weyl_dim(self, weight: Mapping[int, int]) -> int:
         """Weyl dimension formula for the fixed-point subalgebra.

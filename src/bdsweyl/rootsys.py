@@ -4,14 +4,17 @@ Roots are stored as integer coordinate vectors in the simple-root basis
 (Bourbaki node numbering, nodes are 1-based).  The bilinear form is the
 symmetrized Cartan form normalized so that long roots have squared length 2.
 With L = lcm(d_i) the scaled form L * (a, b) is an integer on the root
-lattice (`RootSystem.form`), so d_alpha, coroot coefficients, Weyl
-dimensions and every pairing <v, alpha^vee> are integer quotients taken by
-`exact_quotient`, the one integrality check.  Every internal invariant of
-the package, that one included, fails through `require`, which raises by name
-and the same under `python -O`.  Here `Fraction` is left only in the
-symmetrizer ratios and the value of `inner`; in the package, only the Garland
-coefficients and the evaluation parameters are rational.  There is no
-Euclidean embedding anywhere.
+lattice (`RootSystem.form`), and it only measures lengths: d_alpha, the check
+(theta, theta) = 2 and the value of `inner`.  Pairings are Cartan-row sums,
+not quotients: <v, alpha_i^vee> is a Cartan row (`pairing`), and a pairing
+with any coroot sums the rows over its coroot coefficients.  A coroot
+coefficient a_i(alpha) d_alpha / d_i, d_alpha and a Weyl dimension are integer
+quotients taken by `exact_quotient`, the one integrality check.  Every
+internal invariant of the package, that one included, fails through
+`require`, which raises by name and the same under `python -O`.  Here
+`Fraction` is left only in the symmetrizer ratios and the value of `inner`;
+in the package, only the Garland coefficients and the evaluation parameters
+are rational.  There is no Euclidean embedding anywhere.
 """
 
 from __future__ import annotations
@@ -182,10 +185,6 @@ class RootSystem:
         """Bilinear form on the root lattice, (theta, theta) = 2."""
         return Fraction(self.form(a, b), self.scale)
 
-    def coroot_pairing(self, v: Sequence[int], alpha: Sequence[int]) -> int:
-        """<v, alpha^vee> = 2 (v, alpha) / (alpha, alpha) for any nonzero alpha."""
-        return exact_quotient(2 * self.form(v, alpha), self.form(alpha, alpha), "coroot pairing")
-
     def pairing(self, v: Sequence[int], i: int) -> int:
         """<v, alpha_i^vee> for v in root coordinates."""
         row = self.cartan[i - 1]
@@ -197,13 +196,10 @@ class RootSystem:
             raise ValueError(f"{tuple(a)} is not a root")
         return exact_quotient(2 * self.scale, self.form(a, a), "d_alpha")
 
-    def comark(self, i: int, a: Sequence[int]) -> int:
-        """Coefficient of h_i in h_alpha, i.e. a_i(alpha) * d_alpha / d_i."""
-        return exact_quotient(a[i - 1] * self.d_alpha(a), self.d[i - 1], "coroot coefficient")
-
     def coroot_coordinates(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Expansion h_alpha = sum_i c_i h_i over all nodes."""
-        return tuple(self.comark(i, a) for i in self.nodes)
+        """Expansion h_alpha = sum_i c_i h_i over all nodes, c_i = a_i(alpha) * d_alpha / d_i."""
+        d_a = self.d_alpha(a)
+        return tuple(exact_quotient(ai * d_a, di, "coroot coefficient") for ai, di in zip(a, self.d))
 
     # -- Weyl group -------------------------------------------------------
 
@@ -303,12 +299,6 @@ def require(ok: bool, message: str, *args) -> None:
 def build(type_letter: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given simple type."""
     return RootSystem(type_letter, rank)
-
-
-def reflect_by_root(rs: RootSystem, alpha: Sequence[int], v: Sequence[int]) -> Root:
-    """Reflection s_alpha on a root-lattice vector, for an arbitrary root alpha."""
-    c = rs.coroot_pairing(v, alpha)
-    return tuple(x - c * a for x, a in zip(v, alpha))
 
 
 def format_root(a: Sequence[int]) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, all_pairs, alpha0_by_scan, component_root_count
-from .rootsys import CLASSICAL_MAX_RANK, reflect_by_root
+from .rootsys import CLASSICAL_MAX_RANK
 from .srring import SimplicialComplex, Weight0, hilbert_series_bruteforce, presentation, verify_shelling
 
 
@@ -94,15 +94,14 @@ def check_pair_structure(pairs: list[BdsPair]) -> CheckResult:
             if sizes[k] != sizes[pair.a_j - k]:
                 return CheckResult("pair structure", False, f"|R_k| asymmetry for {pair.describe()}")
             pair.theta_k(k)  # requires uniqueness and the dominance conditions
-        # Delta_0 is the simple roots of I(j) plus alpha_0: a simple reflection
-        # is one Cartan row, so only alpha_0 needs the general reflection
+        # each delta in Delta_0 reflects v to v - <v, delta^vee> delta, with the
+        # pairings of one g0_weight_values call: Cartan rows and the alpha_0 comark sum
         closure = set(pair.delta0)
         queue = list(closure)
         while queue:
             v = queue.pop()
-            images = [pair.rs.reflect(i, v) for i in pair.i_complement]
-            images.append(reflect_by_root(pair.rs, pair.alpha0, v))
-            for w in images:
+            for c, d in zip(pair.g0_weight_values(v).values(), pair.delta0):
+                w = tuple(x - c * y for x, y in zip(v, d))
                 if w not in closure:
                     closure.add(w)
                     queue.append(w)

@@ -219,6 +219,12 @@ def untwisted_fundamental_local_dim(n: int, i: int) -> int:
     return sum(comb(2 * n + 1, i - 2 * k) for k in range(i // 2 + 1))
 
 
+# The most decimal digits of a local dimension: CPython's default
+# `int_max_str_digits`, so that every accepted value can be printed.
+MAX_LOCAL_DIM_DIGITS = 4300
+_DIGITS_LIMIT = 10 ** MAX_LOCAL_DIM_DIGITS
+
+
 def displayed_sum_dim(n: int, i: int, r: int) -> int:
     """The closed form (binom(2n,i) + ... + binom(2n,1))^r; kept separate
     because it lacks the binom(2n,0) term of the telescoped value."""
@@ -241,16 +247,23 @@ def local_weyl_dim_bn(pair: BdsPair, i: int, r: int) -> int:
     corresponding local Weyl module of the plain current algebra.  For
     i <= n-2 this is the dimension at every maximal ideal; for i = n-1 it is
     the pullback value at a generic point, while the graded fiber is the
-    irreducible module whose dimension `spin_module_dim` gives.
+    irreducible module whose dimension `spin_module_dim` gives.  A value of
+    more than MAX_LOCAL_DIM_DIGITS digits is refused, a large r before any power.
     """
     n = _check_bn_pair(pair)
     if not 0 <= i <= n - 1:
         raise ValueError(f"fundamental index {i} out of range 0..{n - 1}")
     if r < 0:
         raise ValueError("multiplicity must be non-negative")
-    if i == 0:
-        return 2 ** (n * r)
-    return untwisted_fundamental_local_dim(n, i) ** r
+    base = 2 ** n if i == 0 else untwisted_fundamental_local_dim(n, i)
+    # base ** r >= 2 ** (r * (bits of base - 1)), so a large r is refused from the
+    # size of the base alone, and a power that is taken has under twice the limit's bits
+    if r * (base.bit_length() - 1) < _DIGITS_LIMIT.bit_length():
+        value = base ** r
+        if value < _DIGITS_LIMIT:
+            return value
+    raise ValueError(f"dim W_loc({r} * lambda_{i}) = {base}^{r} has more than "
+                     f"{MAX_LOCAL_DIM_DIGITS} digits, the limit of a local dimension")
 
 
 def spin_module_dim(pair: BdsPair, r: int) -> int:

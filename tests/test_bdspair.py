@@ -15,7 +15,7 @@ from bdsweyl.bdspair import (
     eligible_nodes,
 )
 from bdsweyl.cli import main
-from bdsweyl.rootsys import build, reflect_by_root
+from bdsweyl.rootsys import build
 
 
 def b3_pair():
@@ -99,7 +99,7 @@ def test_delta0_closure_is_r0():
         while queue:
             v = queue.pop()
             for d in pair.delta0:
-                w = reflect_by_root(rs, d, v)
+                w = oracle_reflect(rs, d, v)
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -249,7 +249,9 @@ def test_g0_weyl_dim_validates():
 
 
 # Oracle: the rational form (a, b) = sum_pq a_p C[p][q] b_q / d_p and the
-# structure constants as Fraction quotients of it, without the integer form.
+# structure constants as Fraction quotients of it, without the integer form:
+# the pairing <v, alpha^vee> = 2 (v, alpha) / (alpha, alpha) and the reflection
+# s_alpha(v) = v - <v, alpha^vee> alpha by any root alpha.
 def oracle_inner(rs, a, b):
     return sum(Fraction(ap * rs.cartan[p][q] * bq, rs.d[p])
                for p, ap in enumerate(a) for q, bq in enumerate(b) if rs.cartan[p][q])
@@ -257,6 +259,11 @@ def oracle_inner(rs, a, b):
 
 def oracle_pairing(rs, v, alpha):
     return 2 * oracle_inner(rs, v, alpha) / oracle_inner(rs, alpha, alpha)
+
+
+def oracle_reflect(rs, alpha, v):
+    c = oracle_pairing(rs, v, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
 
 
 ALL_PAIRS_8 = all_pairs(8)
@@ -274,13 +281,14 @@ def test_integer_structure_constants_match_fraction_oracle(data):
     a0 = data.draw(st.sampled_from(pair.graded_roots(0)), label="a0")
     # an int equals a Fraction only when the Fraction is that integer
     assert rs.inner(v, alpha) == oracle_inner(rs, v, alpha)
-    assert rs.coroot_pairing(v, alpha) == oracle_pairing(rs, v, alpha)
+    # <v, alpha^vee> by the comark rule: coroot coefficients times Cartan rows
+    c = sum(ck * rs.pairing(v, k) for k, ck in zip(rs.nodes, rs.coroot_coordinates(alpha)))
+    assert c == oracle_pairing(rs, v, alpha)
     d_alpha = 2 / oracle_inner(rs, alpha, alpha)
     assert rs.d_alpha(alpha) == d_alpha
-    assert rs.comark(i, alpha) == alpha[i - 1] * d_alpha / rs.d[i - 1]
-    c = oracle_pairing(rs, v, alpha)
-    assert reflect_by_root(rs, alpha, v) == tuple(x - c * a for x, a in zip(v, alpha))
-    assert reflect_by_root(rs, rs.simple_root(i), v) == rs.reflect(i, v)
+    assert rs.coroot_coordinates(alpha)[i - 1] == alpha[i - 1] * d_alpha / rs.d[i - 1]
+    assert tuple(x - c * a for x, a in zip(v, alpha)) == oracle_reflect(rs, alpha, v)
+    assert oracle_reflect(rs, rs.simple_root(i), v) == rs.reflect(i, v)
     delta = pair.delta0
     assert pair.g0_cartan == tuple(tuple(oracle_pairing(rs, dq, dp) for dq in delta)
                                    for dp in delta)
@@ -289,6 +297,23 @@ def test_integer_structure_constants_match_fraction_oracle(data):
     sq = oracle_inner(rs, a0, a0)
     assert pair.g0_coroot_coordinates(a0) == tuple(
         m * oracle_inner(rs, d, d) / sq for m, d in zip(pair.delta0_coordinates(a0), delta))
+
+
+def test_delta0_dominance_matches_fraction_oracle():
+    # Delta_0-dominance by g0_weight_values (Cartan rows and the comark sum at
+    # alpha_0) against the signs of the Fraction form; theta_k is the oracle's
+    # unique dominant element with alpha + delta never a root
+    for pair in ALL_PAIRS_8:
+        rs = pair.rs
+        for k in range(1, pair.a_j):
+            oracle_cands = []
+            for a in pair.graded_positive(k):
+                dominant = all(oracle_inner(rs, a, d) >= 0 for d in pair.delta0)
+                assert (min(pair.g0_weight_values(a).values()) >= 0) == dominant
+                if dominant and not any(rs.is_root(tuple(x + y for x, y in zip(a, d)))
+                                        for d in pair.delta0):
+                    oracle_cands.append(a)
+            assert oracle_cands == [pair.theta_k(k)]
 
 
 @settings(max_examples=150, deadline=None)

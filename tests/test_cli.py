@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,29 @@ def test_localdim(capsys):
 def test_localdim_bad_index_exits_2(capsys):
     code, _, err = run(capsys, "localdim", "B", "3", "--node", "3", "--fundamental", "7")
     assert code == 2
+
+
+LOCALDIM_B6_I2 = ("localdim", "B", "6", "--node", "6", "--fundamental", "2")
+
+
+def test_localdim_power_at_the_digit_limit(capsys):
+    # the base at B6, index 2 is 79: 79^2265 has 4299 digits and 79^2266 has 4301
+    code, out, err = run(capsys, *LOCALDIM_B6_I2, "--power", "2265", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 79 ** 2265
+    code, out, err = run(capsys, *LOCALDIM_B6_I2, "--power", "2266")
+    assert (code, out) == (2, "")
+    assert err == ("error: dim W_loc(2266 * lambda_2) = 79^2266 has more than 4300 digits, "
+                   "the limit of a local dimension\n")
+
+
+def test_localdim_huge_power_exits_2_at_once(capsys):
+    run(capsys, *LOCALDIM_B6_I2)  # builds B6 and the pair
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *LOCALDIM_B6_I2, "--power", "10000000")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert "has more than 4300 digits" in err
 
 
 def test_idealpoint_deterministic(capsys):

@@ -70,9 +70,9 @@ def test_comark_examples():
     b3 = build("B", 3)
     a0 = (0, 1, 2)  # alpha_2 + 2 alpha_3
     assert b3.is_root(a0)
-    assert b3.comark(3, a0) == 1
-    assert b3.comark(2, a0) == 1
-    assert b3.comark(3, b3.theta) == 1
+    assert b3.coroot_coordinates(a0)[3 - 1] == 1
+    assert b3.coroot_coordinates(a0)[2 - 1] == 1
+    assert b3.coroot_coordinates(b3.theta)[3 - 1] == 1
     for rs in all_systems(max_rank=5):
         for i in rs.nodes:
             cor = rs.coroot_coordinates(rs.simple_root(i))
@@ -82,7 +82,7 @@ def test_comark_examples():
 def test_comark_rejects_non_root():
     b3 = build("B", 3)
     with pytest.raises(ValueError):
-        b3.comark(1, (1, 0, 1))
+        b3.coroot_coordinates((1, 0, 1))
 
 
 def test_comark_additive_on_equal_length_triples():
@@ -94,7 +94,8 @@ def test_comark_additive_on_equal_length_triples():
                 continue
             if rs.inner(a, a) == rs.inner(b, b) == rs.inner(c, c):
                 for i in rs.nodes:
-                    assert rs.comark(i, c) == rs.comark(i, a) + rs.comark(i, b)
+                    assert rs.coroot_coordinates(c)[i - 1] == (rs.coroot_coordinates(a)[i - 1]
+                                                               + rs.coroot_coordinates(b)[i - 1])
 
 
 def test_reflections():

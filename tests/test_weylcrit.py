@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, log10
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from bdsweyl.verify import FRACTION_POOL, distinct_fractions, draw_eval_params
 from bdsweyl.rootsys import build
 from bdsweyl.srring import Weight0, presentation
 from bdsweyl.weylcrit import (
+    MAX_LOCAL_DIM_DIGITS,
     DeltaWeight,
     EvalParams,
     EvalPoint,
@@ -240,6 +241,24 @@ def test_local_weyl_dims_bn():
         local_weyl_dim_bn(B3, 3, 1)
     with pytest.raises(ValueError):
         local_weyl_dim_bn(build_pair("G", 1, rank=2), 1, 1)
+
+
+def test_local_dims_refused_exactly_above_the_digit_limit():
+    # for every (B_n, n) and index i, the largest accepted power is the last one
+    # whose value has at most MAX_LOCAL_DIM_DIGITS digits
+    limit = 10 ** MAX_LOCAL_DIM_DIGITS
+    for n in range(3, 13):
+        pair = build_pair("B", n, rank=n)
+        for i in range(n):
+            base = 2 ** n if i == 0 else untwisted_fundamental_local_dim(n, i)
+            r = int(MAX_LOCAL_DIM_DIGITS / log10(base))
+            while base ** (r + 1) < limit:
+                r += 1
+            while base ** r >= limit:
+                r -= 1
+            assert local_weyl_dim_bn(pair, i, r) == base ** r
+            with pytest.raises(ValueError, match=f"more than {MAX_LOCAL_DIM_DIGITS} digits"):
+                local_weyl_dim_bn(pair, i, r + 1)
 
 
 def test_spin_module_dim():
