@@ -14,15 +14,23 @@ import os
 import random
 import sys
 from functools import lru_cache
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from operator import getitem
+from typing import Callable, NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
 from .rootsys import build, format_root, validate_type
-from .srring import HilbertSeries, SRPresentation, Weight0, parse_weight_spec, presentation
+from .srring import (HilbertSeries, SRPresentation, SRVariable, Weight0, parse_weight_spec,
+                     presentation)
 from .verify import draw_eval_params, run_all
 
 SCHEMA_VERSION = 1
+
+
+class _Json(str):
+    """A JSON fragment already rendered at its depth; `_dumps` writes it as is."""
 
 
 def _dumps(obj, pad: str = "\n") -> str:
@@ -30,11 +38,13 @@ def _dumps(obj, pad: str = "\n") -> str:
 
     Dicts with str keys, lists and tuples, str (escaped to ASCII by json's own
     encoder), exact int, True, False and None; anything else, a float or a
-    non-str key included, raises TypeError (a key, from that encoder).  `pad`
-    is the newline and indent that close obj; each item of a container goes
-    one level deeper.  A list of exact ints is written with one join.  The
-    f-strings build each container in one allocation, where a chain of `+`
-    would copy a 10 MB facet list at every `+`.
+    non-str key included, raises TypeError (a key, from that encoder).  A
+    `_Json` fragment is written as is: it must already be the text that
+    json.dumps would give at its place.  `pad` is the newline and indent that
+    close obj; each item of a container goes one level deeper.  A list of
+    exact ints is written with one join.  The f-strings build each container
+    in one allocation, where a chain of `+` would copy a 10 MB facet list at
+    every `+`.
     """
     t = type(obj)
     if t is list or t is tuple:
@@ -47,6 +57,8 @@ def _dumps(obj, pad: str = "\n") -> str:
             body = map(int.__repr__, obj)
         sep = "," + inner
         return f"[{inner}{sep.join(body)}{pad}]"
+    if t is _Json:
+        return obj
     if t is str:
         return encode_basestring_ascii(obj)
     if t is int:
@@ -137,19 +149,88 @@ def _hilbert_payload(hs: HilbertSeries) -> dict:
     }
 
 
-def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
-    sc = pres.facets()
+class _RowStyle(NamedTuple):
+    """How a row of variables is written: each variable's text, the separator
+    between variables, and the row's brackets (`empty` when it has none)."""
+
+    item: Callable[[SRVariable], str]
+    sep: str
+    open: str
+    close: str
+    empty: str
+
+
+# The "facets" and "generators" lists of the alambda payload are top-level
+# values: each row closes at _ROW_PAD, and each [node, level] in it at _ITEM_PAD.
+_ROW_PAD = "\n    "
+_ITEM_PAD = _ROW_PAD + "  "
+_JSON_ROW = _RowStyle(lambda v: _dumps([v.node, v.level], _ITEM_PAD), "," + _ITEM_PAD,
+                      "[" + _ITEM_PAD, _ROW_PAD + "]", "[]")
+# A facet of the text report.
+_TEXT_ROW = _RowStyle(SRVariable.label, ", ", "{", "}", "{}")
+
+
+def _prefix_table(items: list[str], sep: str) -> list[str]:
+    """[sep.join(items[:m]) for m in 0..len(items)], each built from the one before."""
+    return ["", *accumulate(items, lambda prefix, item: prefix + sep + item)]
+
+
+def _facet_rows(pres: SRPresentation, style: _RowStyle) -> list[str]:
+    """The row of each facet of `pres.facets()`, in its order.
+
+    A facet is P[i, 1..t_i] at each constrained node, t its top-level tuple,
+    plus every variable of each free node.  So a row joins one prefix per
+    node, in node order, from per-node prefix tables.  The prefix of a free
+    node is fixed: it is joined into each prefix of the next constrained node,
+    or, after the last one, into the row's tail.
+    """
+    sep = style.sep
+    free, constrained = set(pres.free_nodes), set(pres.constrained_nodes)
+    tables: list[list[str]] = []
+    fixed: list[str] = []  # free-node prefixes not yet joined into a table
+    for i in pres.pair.rs.nodes:
+        if i in free or i in constrained:
+            prefixes = _prefix_table([style.item(v) for v in pres._by_node[i]], sep)
+            if i in free:
+                fixed.append(prefixes[-1])
+            else:
+                tables.append([sep.join(fixed + [p]) if p else sep.join(fixed) for p in prefixes])
+                fixed = []
+    tail = sep.join(fixed)
+    rows = []
+    for tops in pres._tops:
+        parts = [p for p in map(getitem, tables, tops) if p]
+        if tail:
+            parts.append(tail)
+        rows.append(style.open + sep.join(parts) + style.close if parts else style.empty)
+    return rows
+
+
+def _generator_rows(pres: SRPresentation) -> list[str]:
+    """The JSON row of each generator of `pres.generators`, in its order: one
+    variable at each node of nonzero level, from per-node item tables."""
+    item, sep, open_, close, _ = _JSON_ROW
+    tables = [[""] + [item(v) for v in pres._by_node[i]] for i in pres.constrained_nodes]
+    return [open_ + sep.join([p for p in map(getitem, tables, levels) if p]) + close
+            for levels in pres._generator_levels]
+
+
+def _json_list(rows: list[str]) -> _Json:
+    """The list of rows as the value of a top-level payload key."""
+    return _Json(f"[{_ROW_PAD}{(',' + _ROW_PAD).join(rows)}\n  ]") if rows else _Json("[]")
+
+
+def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
+    """The alambda payload without its facet and generator rows."""
     flags = pres.flags()
     pair = pres.pair
-    out = {
+    return {
         "weight": pres.lam.format(),
         "caps": {str(i): pres.caps[i] for i in pair.rs.nodes},
         "variables": [[v.node, v.level, v.degree] for v in pres.variables],
-        "generators": [sorted([v.node, v.level] for v in g) for g in pres.generators],
         "presentation": pres.format(),
         "krull_dim": pres.krull_dim(),
         "d_lambda": pres.d_lambda() if pres.jac_zero else None,
-        "facets": [[[v.node, v.level] for v in sorted(f)] for f in sc.facets],
         "hilbert": _hilbert_payload(pres.hilbert_series(degree)),
         "flags": {
             "jac_zero": flags["jac_zero"],
@@ -162,6 +243,13 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
             "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),
         },
     }
+
+
+def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
+    """The alambda payload, its facet and generator lists as `_Json` fragments."""
+    out = _presentation_summary(pres, degree)
+    out["facets"] = _json_list(_facet_rows(pres, _JSON_ROW))
+    out["generators"] = _json_list(_generator_rows(pres))
     return out
 
 
@@ -169,18 +257,18 @@ def cmd_alambda(args):
     pair = _resolve_pair(args)
     lam = _resolve_weight(pair, args)
     pres = presentation(pair, lam)
-    payload = {"pair": _pair_payload(pair), **_presentation_payload(pres, args.degree)}
     if args.format == "json":
-        return payload, [], 0
+        return {"pair": _pair_payload(pair), **_presentation_payload(pres, args.degree)}, [], 0
+    payload = _presentation_summary(pres, args.degree)
     v = payload["verdicts"]
     f = payload["flags"]
     text = [
         f"pair: {pair.describe()}",
         f"weight: {lam.format()}",
-        f"presentation: {pres.format()}" + ("   (A_lambda = C)" if not pres.variables else ""),
+        f"presentation: {payload['presentation']}"
+        + ("   (A_lambda = C)" if not pres.variables else ""),
         f"Krull dimension: {payload['krull_dim']}",
-        "facets: " + ("; ".join(
-            "{" + ", ".join(f"P({n},{r})" for n, r in fa) + "}" for fa in payload["facets"]) or "{}"),
+        "facets: " + ("; ".join(_facet_rows(pres, _TEXT_ROW)) or "{}"),
         f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
     ]
     if payload["hilbert"]["closed_form"]:

@@ -29,6 +29,7 @@ refuses an order whose count is above MAX_TENSOR_TERMS.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -132,8 +133,15 @@ class HPoly:
         out: dict[Monomial, int] = {}
         get = out.get
         for m1, c1 in self.nums.items():
+            if len(m1) == 1:  # placed into each m2 by bisection
+                key = m1[0]
+                for m2, c2 in other.nums.items():
+                    i = bisect_right(m2, key)
+                    m = m2[:i] + m1 + m2[i:]
+                    out[m] = get(m, 0) + c1 * c2
+                continue
             for m2, c2 in other.nums.items():
-                m = tuple(sorted(m1 + m2))
+                m = _monomial_product(m1, m2)
                 out[m] = get(m, 0) + c1 * c2
         return HPoly._reduced(self.den * other.den, out)
 
@@ -146,6 +154,20 @@ class HPoly:
             mono = "*".join(f"H{list(k)}" for k in m) or "1"
             bits.append(f"{terms[m]}*{mono}")
         return " + ".join(bits)
+
+
+def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
+    """The sorted key tuple of m1 * m2.  An empty factor gives the other one,
+    and a one-key factor is placed into the other by bisection; only a product
+    of two longer monomials is sorted whole."""
+    if len(m1) > len(m2):
+        m1, m2 = m2, m1
+    if len(m1) > 1:
+        return tuple(sorted(m1 + m2))
+    if not m1:
+        return m2
+    i = bisect_right(m2, m1[0])
+    return m2[:i] + m1 + m2[i:]
 
 
 class _Terms(Mapping):

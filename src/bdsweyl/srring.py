@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from operator import and_, sub
+from operator import and_, getitem, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
@@ -34,6 +34,12 @@ from .rootsys import require
 # before anything is enumerated.  It also bounds the truncation degree, the
 # length of every expanded series.
 MAX_NUMERATOR_LENGTH = 100_000
+
+# Largest accepted number of facets.  `facet_count` counts them by a DP before
+# the walk lists them, so a presentation over it is refused at once.  The
+# facet list is printed whole by `alambda`: at 8418 facets (D12 at node 6,
+# weight 4 on every node, h0 = 16) the JSON is 12.9 MB.
+MAX_FACETS = 10_000
 
 
 def parse_weight_spec(spec: str) -> dict[int, int]:
@@ -132,7 +138,7 @@ class SimplicialComplex:
                 masks[v] = masks.get(v, 0) | 1 << bit
         everything = (1 << len(facets)) - 1
         for bit, a in enumerate(facets):
-            if reduce(and_, (masks[v] for v in a), everything) != 1 << bit:
+            if reduce(and_, map(masks.__getitem__, a), everything) != 1 << bit:
                 raise ValueError("facet list contains a non-maximal face")
 
     @property
@@ -289,37 +295,65 @@ class SRPresentation:
     # -- relations ---------------------------------------------------------
 
     @cached_property
-    def generators(self) -> tuple[frozenset, ...]:
-        """Minimal generators of the monomial ideal: the inclusion-minimal
-        sets of variables (one per node) whose weighted level sum exceeds
-        lam(h_0).  Single-variable violations are absorbed into the caps,
-        so every generator has at least two variables.  A violating level
-        tuple is minimal iff total - h0 <= least, the smallest w * r chosen;
-        along the walk total only grows and least only shrinks, so a prefix
-        with total - h0 > least is pruned.  The walk keeps an explicit stack:
-        a recursive closure reading self would be a reference cycle.
-        """
+    def _walk_bounds(self) -> tuple[list[int], list[int], list[int]]:
+        """At each constrained node, in order: its comark w, its cap, and rest,
+        the most the nodes after it can take (the sum of their w * cap)."""
         nodes = self.constrained_nodes
         weights = [self.comarks[i - 1] for i in nodes]
         caps = [self.caps[i] for i in nodes]
-        by_node = self._by_node
+        rests = list(accumulate(reversed([w * c for w, c in zip(weights, caps)]), initial=0))
+        return weights, caps, rests[-2::-1]
+
+    @cached_property
+    def generators(self) -> tuple[frozenset, ...]:
+        """Minimal generators of the monomial ideal: the inclusion-minimal
+        sets of variables (one per node) whose weighted level sum exceeds
+        lam(h_0), in the order of `_generator_levels`."""
+        # tables[k][r]: P[i, r] at the k-th constrained node i, None at r = 0
+        tables = [(None, *self._by_node[i]) for i in self.constrained_nodes]
+        return tuple(frozenset(filter(None, map(getitem, tables, levels)))
+                     for levels in self._generator_levels)
+
+    @cached_property
+    def _generator_levels(self) -> tuple[tuple[int, ...], ...]:
+        """The level of each generator at each constrained node (0: none).
+
+        Single-variable violations are absorbed into the caps, so every
+        generator has at least two variables.  A violating level tuple is
+        minimal iff total - h0 <= least, the smallest w * r chosen; along the
+        walk total only grows and least only shrinks, so a prefix with
+        total - h0 > least is pruned, and so is a prefix with total + rest <=
+        h0, which no later levels take over h0.  The walk keeps an explicit
+        stack: a recursive closure reading self would be a reference cycle.
+
+        The tuples are sorted by one integer, the levels read in mixed radix
+        with 0 read as cap + 1.  That is the order of the generators sorted as
+        sorted variable lists: at the first node where two generators differ,
+        the one without a variable there has one of a later node, which sorts
+        after P[i, r]; neither can end there, since no generator contains
+        another.
+        """
+        weights, caps, rests = self._walk_bounds
+        h0 = self.h0
         out = []
         # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
-        stack = [(0, 0, self.h0 + 1, ())]
+        stack = [(0, 0, h0 + 1, 0, ())]
         while stack:
-            idx, total, least, levels = stack.pop()
-            if idx == len(nodes):
-                if total > self.h0:
-                    out.append(frozenset(by_node[i][r - 1] for i, r in zip(nodes, levels) if r))
+            idx, total, least, key, levels = stack.pop()
+            if idx == len(weights):
+                if total > h0:  # false only at the root, when no node is constrained
+                    out.append((key, levels))
                 continue
-            w = weights[idx]
-            for r in range(caps[idx] + 1):
+            w, cap, rest = weights[idx], caps[idx], rests[idx]
+            for r in range(cap + 1):
                 t = total + w * r
                 m = min(least, w * r) if r else least
-                if t - self.h0 > m:
+                if t - h0 > m:
                     break  # t - m never shrinks as r grows
-                stack.append((idx + 1, t, m, levels + (r,)))
-        return tuple(sorted(out, key=lambda g: sorted(g)))
+                if t + rest > h0:
+                    stack.append((idx + 1, t, m, key * (cap + 2) + (r or cap + 1), levels + (r,)))
+        out.sort()
+        return tuple(levels for _, levels in out)
 
     def face_predicate(self, sigma: Iterable[SRVariable]) -> bool:
         """Whether sigma is a face: no generator divides its product."""
@@ -335,42 +369,78 @@ class SRPresentation:
 
     # -- simplicial complex --------------------------------------------------
 
-    def _facet_tuples(self) -> list[dict[int, int]]:
-        """Per-node top levels of the maximal faces, on the constrained nodes
-        (an explicit-stack walk, like `generators`).
+    def facet_count(self) -> int:
+        """The number of facets, counted without the walk of `_tops`.
+
+        A top-level tuple t is a facet iff the budget it leaves, lam(h_0) -
+        sum_i w_i t_i, is below the least weight of a node not at its cap.  A DP
+        over the constrained nodes maps (budget left, that least weight) to the
+        number of tuples of the nodes placed so far.
+        """
+        states = {(self.h0, self.h0 + 1): 1}  # h0 + 1: every node so far at its cap
+        for w, cap, _ in zip(*self._walk_bounds):
+            new: dict[tuple[int, int], int] = {}
+            for (left, least), n in states.items():
+                for m in range(min(cap, left // w) + 1):
+                    key = (left - w * m, least if m == cap else min(least, w))
+                    new[key] = new.get(key, 0) + n
+            states = new
+        return sum(n for (left, least), n in states.items() if left < least)
+
+    @cached_property
+    def _tops(self) -> tuple[tuple[int, ...], ...]:
+        """Top levels of the maximal faces on the constrained nodes, one tuple
+        per facet (an explicit-stack walk, like `_generator_levels`).  A
+        presentation with more than MAX_FACETS facets is refused first.
+
+        A tuple is maximal iff the budget it leaves is below the least weight
+        of a node not at its cap (`facet_count`).  The later nodes can take at
+        most rest, so a prefix that would leave at least that weight with every
+        later node at its cap is pruned, and every leaf is a facet.
 
         Levels are pushed in ascending order, so they pop in descending
         lexicographic order of the top-level tuples.  That is the order of the
         facets sorted as sorted variable lists: at the first node where two
         tuples differ, the larger top puts P[i, s + 1] where the other facet
         has a variable of a later node (it cannot end there, being maximal)."""
-        nodes = self.constrained_nodes
-        weights = [self.comarks[i - 1] for i in nodes]
-        caps = [self.caps[i] for i in nodes]
-        out: list[dict[int, int]] = []
-        stack = [(0, self.h0, ())]
+        count = self.facet_count()
+        if count > MAX_FACETS:
+            raise ValueError(f"too many facets: the complex has {count}, above the limit "
+                             f"{MAX_FACETS}")
+        weights, caps, rests = self._walk_bounds
+        out: list[tuple[int, ...]] = []
+        stack = [(0, self.h0, self.h0 + 1, ())]
         while stack:
-            idx, budget, tops = stack.pop()
-            if idx == len(nodes):
-                if all(m == cap or w > budget for m, cap, w in zip(tops, caps, weights)):
-                    out.append(dict(zip(nodes, tops)))
+            idx, budget, least, tops = stack.pop()
+            if idx == len(weights):
+                out.append(tops)
                 continue
-            w = weights[idx]
-            for m in range(min(caps[idx], budget // w) + 1):
-                stack.append((idx + 1, budget - w * m, tops + (m,)))
-        return out
+            w, cap, rest = weights[idx], caps[idx], rests[idx]
+            for m in range(min(cap, budget // w) + 1):
+                left = budget - w * m
+                below = least if m == cap else min(least, w)
+                if left - rest < below:
+                    stack.append((idx + 1, left, below, tops + (m,)))
+        return tuple(out)
 
-    def _facet_from_tops(self, tops: Mapping[int, int]) -> frozenset:
+    @cached_property
+    def _free_members(self) -> tuple[SRVariable, ...]:
+        """Every variable of the free nodes: a part of every facet."""
+        return tuple(v for i in self.free_nodes for v in self._by_node[i])
+
+    def _facet_from_tops(self, tops: Iterable[tuple[int, int]]) -> frozenset:
+        """The facet with top level m at each (node, m) of tops."""
         by_node = self._by_node
-        members = [v for i in self.free_nodes for v in by_node[i]]
-        for i, m in tops.items():
+        members = list(self._free_members)
+        for i, m in tops:
             members += by_node[i][:m]
         return frozenset(members)
 
     @cached_property
     def _complex(self) -> SimplicialComplex:
-        """The facets in walk order, which is their sorted order (`_facet_tuples`)."""
-        facets = tuple(map(self._facet_from_tops, self._facet_tuples()))
+        """The facets in walk order, which is their sorted order (`_tops`)."""
+        nodes = self.constrained_nodes
+        facets = tuple(self._facet_from_tops(zip(nodes, tops)) for tops in self._tops)
         return SimplicialComplex(self.variables, facets)
 
     def facets(self) -> SimplicialComplex:
@@ -483,7 +553,7 @@ class SRPresentation:
         m = min(self.h0, self.lam[s])
         order = []
         for r in range(m + 1):
-            order.append(self._facet_from_tops({self.pair.j: self.h0 - r, s: r}))
+            order.append(self._facet_from_tops(((self.pair.j, self.h0 - r), (s, r))))
         complex_ = self.facets()
         require(set(order) == set(complex_.facets), "canonical shelling: not the facet set")
         require(len(order) == len(complex_.facets), "canonical shelling: a facet listed twice")
@@ -513,7 +583,10 @@ class SRPresentation:
 
     def format(self) -> str:
         vars_ = ", ".join(v.label() for v in self.variables) or "-"
-        gens = ", ".join("".join(v.label() for v in sorted(g)) for g in self.generators) or "-"
+        # tables[k][r]: the label of P[i, r] at the k-th constrained node i, "" at r = 0
+        tables = [[""] + [v.label() for v in self._by_node[i]] for i in self.constrained_nodes]
+        gens = ", ".join("".join(map(getitem, tables, levels))
+                         for levels in self._generator_levels) or "-"
         return f"C[{vars_}] / ({gens})"
 
 

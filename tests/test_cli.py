@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdsweyl
-from bdsweyl import garland, srring, verify
+from bdsweyl import garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import _dumps, main
+from bdsweyl.cli import _dumps, _pair_payload, main
+from bdsweyl.srring import MAX_FACETS, Weight0, presentation
 
 
 def run(capsys, *argv):
@@ -392,3 +395,111 @@ def test_dumps_rejects_what_the_payloads_never_hold(value):
 
 def test_cli_does_not_import_json():
     assert not hasattr(bdsweyl.cli, "json")
+
+
+# Oracle: the alambda payload as it was built before the rows were rendered
+# from per-node prefix tables, with a [node, level] list per variable, each
+# row sorted, and the facets and generators sorted as sorted variable lists.
+def old_presentation_payload(pres, degree):
+    flags = pres.flags()
+    pair = pres.pair
+    gens = sorted(pres.generators, key=sorted)
+    variables = ", ".join(v.label() for v in pres.variables) or "-"
+    relations = ", ".join("".join(v.label() for v in sorted(g)) for g in gens) or "-"
+    hs = pres.hilbert_series(degree)
+    cf = hs.closed_form
+    return {
+        "weight": pres.lam.format(),
+        "caps": {str(i): pres.caps[i] for i in pair.rs.nodes},
+        "variables": [[v.node, v.level, v.degree] for v in pres.variables],
+        "generators": [sorted([v.node, v.level] for v in g) for g in gens],
+        "presentation": f"C[{variables}] / ({relations})",
+        "krull_dim": pres.krull_dim(),
+        "d_lambda": pres.d_lambda() if pres.jac_zero else None,
+        "facets": [[[v.node, v.level] for v in sorted(f)]
+                   for f in sorted(pres.facets().facets, key=sorted)],
+        "hilbert": {
+            "degree": hs.truncation_degree,
+            "coefficients": list(hs.coefficients),
+            "closed_form": None if cf is None else {
+                "numerator": list(cf.numerator),
+                "denominator": list(cf.denominator),
+                "display": cf.format(),
+            },
+        },
+        "flags": {
+            "jac_zero": flags["jac_zero"],
+            "koszul": "true" if flags["koszul"] else "unknown",
+            "pure": flags["pure"],
+            "cohen_macaulay_certified": flags["cohen_macaulay_certified"],
+        },
+        "verdicts": {
+            "alambda_trivial": weylcrit.is_alambda_trivial(pair, pres.lam),
+            "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),
+        },
+    }
+
+
+# Oracle: the text report as it was written from the list payload above.
+def old_text_report(pres, payload, degree):
+    lower = lambda b: str(b).lower() if isinstance(b, bool) else b
+    f, v = payload["flags"], payload["verdicts"]
+    text = [
+        f"pair: {pres.pair.describe()}",
+        f"weight: {pres.lam.format()}",
+        f"presentation: {payload['presentation']}" + ("   (A_lambda = C)" if not pres.variables else ""),
+        f"Krull dimension: {payload['krull_dim']}",
+        "facets: " + ("; ".join(
+            "{" + ", ".join(f"P({n},{r})" for n, r in fa) + "}" for fa in payload["facets"]) or "{}"),
+        f"Hilbert coefficients to degree {degree}: {payload['hilbert']['coefficients']}",
+    ]
+    if payload["hilbert"]["closed_form"]:
+        text.append(f"Hilbert closed form: {payload['hilbert']['closed_form']['display']}")
+    text.append(
+        f"flags: jac_zero={lower(f['jac_zero'])} koszul={f['koszul']} pure={lower(f['pure'])} "
+        f"cohen_macaulay_certified={lower(f['cohen_macaulay_certified'])}")
+    text.append(f"A_lambda trivial (one-dimensional modulo radical): {lower(v['alambda_trivial'])}")
+    text.append(f"W(lambda) irreducible: {lower(v['global_weyl_irreducible'])}")
+    return "\n".join(text) + "\n"
+
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+ALL_PAIRS_8 = all_pairs(8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alambda_rows_match_the_list_renderer(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    degree = data.draw(st.integers(0, 8), label="degree")
+    argv = ["alambda", pair.rs.type_letter, str(pair.rs.rank), "--node", str(pair.j),
+            "--weight", lam.format(), "--degree", str(degree)]
+    pres = presentation(pair, lam)
+    old = old_presentation_payload(pres, degree)
+    envelope = {"schema_version": 1, "command": "alambda", "pair": _pair_payload(pair), **old}
+    assert stdout_of(argv + ["--format", "json"]) == (
+        0, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+    assert stdout_of(argv) == (0, old_text_report(pres, old, degree))
+
+
+# D12 at node 6 with the same weight w on every node and h0 = 4 w: 1555961
+# facets at w = 10.
+def d12_argv(w):
+    weight = ",".join(f"h{i}={w}" for i in range(1, 13) if i != 6) + f",h0={4 * w}"
+    return ["alambda", "D", "12", "--node", "6", "--weight", weight, "--degree", "4"]
+
+
+def test_facet_count_refusal_exits_2_at_once(capsys):
+    run(capsys, *d12_argv(1))  # builds D12 and the pair
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *d12_argv(10))
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: too many facets: the complex has 1555961, above the limit {MAX_FACETS}\n"

@@ -239,6 +239,32 @@ def test_integer_numerators_agree_with_fraction_terms(p, q, summands, c, point):
         assert all(isinstance(v, Fraction) for v in poly.terms.values())
 
 
+# Oracle: the product with every concatenated key tuple sorted whole, as
+# HPoly.__mul__ did before it placed a one-key factor by bisection.
+def full_sort_product(x, y):
+    out = {}
+    for m1, c1 in x.nums.items():
+        for m2, c2 in y.nums.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return HPoly._reduced(x.den * y.den, out)
+
+
+# Monomials over more keys, up to degree 5, each key possibly repeated.
+long_monomials = st.lists(st.sampled_from(KEYS + [(0, 3), (2, 2), (4, 1)]),
+                          max_size=5).map(lambda ks: tuple(sorted(ks)))
+long_polys = st.dictionaries(long_monomials, small_fractions, max_size=6).map(HPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_polys, long_polys)
+def test_product_matches_the_full_sort_oracle(x, y):
+    for p, q in ((x, y), (y, x)):
+        product, expected = p * q, full_sort_product(p, q)
+        assert (product.den, product.nums) == (expected.den, expected.nums)
+        assert all(list(m) == sorted(m) for m in product.nums)
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys, polys)
 def test_equal_values_compare_equal_however_built(x, y):

@@ -62,9 +62,12 @@ GOLDEN = [
 # recorded with a Fraction for every HPoly coefficient, before the integer
 # numerators.  D10 at node 5, comark 2 at j with 936 facets, the largest
 # facet list pinned: recorded with json.dumps and the facets sorted after the
-# walk.
+# walk.  D12 at node 6, weight 4 on every node and h0=16, 8418 facets: recorded
+# with the payload rows built as [node, level] lists and written one at a time.
 D10_ALAMBDA = ("alambda D 10 --node 5 --weight h1=3,h2=3,h3=3,h4=3,h6=3,h7=3,h8=3,h9=3,h10=3,h0=12"
                " --degree 48")
+D12_ALAMBDA = ("alambda D 12 --node 6 --weight h1=4,h2=4,h3=4,h4=4,h5=4,h7=4,h8=4,h9=4,h10=4,h11=4,"
+               "h12=4,h0=16 --degree 60")
 
 FRONTIER = [
     ("hilbert B 12 --node 12 --weight h11=10,h0=60 --degree 80",
@@ -81,6 +84,8 @@ FRONTIER = [
      "f5d35b3688f5167a7e90d138f7d59de09a539f8152f55ae481b9423f5381cbfe"),
     (D10_ALAMBDA,
      "e96609b965bd21ea1b537a53ff76e8971e1999e0e869a8286237c630689094ba"),
+    (D12_ALAMBDA,
+     "a6b15ec26a04aa5ad172ec4add8598a803ed1276ce0ba45aa97349f3d80cd583"),
 ]
 
 

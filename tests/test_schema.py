@@ -7,11 +7,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from test_golden import FRONTIER, GOLDEN
+from test_golden import D12_ALAMBDA, FRONTIER, GOLDEN
 
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "json-schema-v1.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-QUERIES = [c for c, _ in GOLDEN + FRONTIER]
+# The D12 alambda payload has the shape of the D10 one at nine times the
+# facets; validating it would take about 20 s, so its digest alone pins it.
+QUERIES = [c for c, _ in GOLDEN + FRONTIER if c != D12_ALAMBDA]
 
 
 def json_stdout(json_run, command):

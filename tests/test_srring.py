@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from functools import reduce
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bdsweyl.bdspair import all_pairs, build_pair
 from bdsweyl.cli import _presentation_payload
 from bdsweyl.srring import (
+    MAX_FACETS,
     MAX_NUMERATOR_LENGTH,
     ClosedForm,
     SimplicialComplex,
@@ -448,7 +450,8 @@ ALL_PAIRS_8 = all_pairs(8)
 def facets_by_sorting(pres):
     """Oracle: the facet order before the walk order was kept, a set of the
     walk's facets sorted as sorted variable lists."""
-    return tuple(sorted({pres._facet_from_tops(t) for t in pres._facet_tuples()},
+    nodes = pres.constrained_nodes
+    return tuple(sorted({pres._facet_from_tops(zip(nodes, t)) for t in pres._tops},
                         key=lambda f: sorted(f)))
 
 
@@ -460,12 +463,52 @@ def test_facets_come_in_sorted_order(data):
     pres = presentation(pair, lam)
     facets = pres.facets().facets
     assert facets == facets_by_sorting(pres)
-    # the payload rows, once sorted twice over
+    # the payload rows, read back from their JSON, against the rows once sorted twice over
     old_rows = sorted(sorted([v.node, v.level] for v in f) for f in facets)
-    assert _presentation_payload(pres, 0)["facets"] == old_rows
+    assert json.loads(_presentation_payload(pres, 0)["facets"]) == old_rows
     # every facet and generator holds the presentation's own variable objects
     own = {id(v) for v in pres.variables}
     assert all(id(v) in own for f in facets + pres.generators for v in f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_facet_count_is_the_number_of_facets(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    assert pres.facet_count() == len(pres.facets().facets)
+
+
+def test_facet_limit_is_checked_before_the_walk():
+    # D12 at node 6, weight w on every node and h0 = 4 w: the weight-4 case is
+    # the largest frontier golden, and the weight-5 case is refused
+    pair = build_pair("D", 6, rank=12)
+    counts = {}
+    for w in (4, 5):
+        lam = Weight0({**{i: w for i in pair.delta0_labels}, 0: 4 * w})
+        counts[w] = presentation(pair, lam).facet_count()
+    assert counts == {4: 8418, 5: 27474}
+    assert counts[4] <= MAX_FACETS < counts[5]
+    pres = presentation(pair, lam)
+    with pytest.raises(ValueError, match=f"has 27474, above the limit {MAX_FACETS}"):
+        pres.facets()
+    assert "_tops" not in vars(pres)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generators_come_in_sorted_order(data):
+    # the integer-key order of the level tuples is the order of the generators
+    # sorted as sorted variable lists
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    gens = pres.generators
+    assert list(gens) == sorted(gens, key=lambda g: sorted(g))
+    levels = [tuple(next((v.level for v in g if v.node == i), 0) for i in pres.constrained_nodes)
+              for g in gens]
+    assert levels == list(pres._generator_levels)
 
 
 def test_rejects_weight_with_bad_keys():
