@@ -5,13 +5,15 @@ module constructs the fixed-point data of the associated finite-order
 automorphism: the simple system Delta_0 = {alpha_i : i != j} u {alpha_0}
 with alpha_0 = w_par^{-1}(theta), the grading of the roots by a_j(alpha)
 mod a_j, the dominant elements theta_k of each graded piece, and the
-reflection chain from alpha_0 down to a simple root.
+reflection chain from alpha_0 down to a simple root.  All of it is fixed by
+the value (type, rank, j), so `build_pair` builds one pair per value and
+keeps it; every pairing it reads is a row of the root system's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .rootsys import (ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact_quotient,
@@ -67,9 +69,10 @@ class BdsPair:
         require(rs.is_root(a0) and min(a0) >= 0, "alpha_0 must be a positive root")
         require(a0[j - 1] == self.a_j, "a_j(alpha_0) must equal a_j")
         require(rs.d_alpha(a0) == 1, "alpha_0 must be long")
+        row = rs.pairings(a0)
         for i in self.i_complement:
-            require(rs.pairing(a0, i) <= 0, "alpha_0 must pair non-positively with alpha_{}^vee", i)
-        require(rs.pairing(a0, j) > 0, "alpha_0 must pair positively with alpha_{}^vee", j)
+            require(row[i - 1] <= 0, "alpha_0 must pair non-positively with alpha_{}^vee", i)
+        require(row[j - 1] > 0, "alpha_0 must pair positively with alpha_{}^vee", j)
 
     # -- simple system of the fixed-point subalgebra -----------------------
 
@@ -172,16 +175,17 @@ class BdsPair:
             if simple_node is not None and entries:
                 entries.append((simple_node, beta))
                 break
+            row = rs.pairings(beta)
             if entries:
                 admissible = [
                     p for p in order
-                    if rs.pairing(beta, p) > 0
+                    if row[p - 1] > 0
                     and not rs.is_root(tuple(x + y for x, y in zip(beta, rs.simple_root(p))))
                 ]
                 require(admissible, "reflection chain: no admissible reflection from {}", beta)
                 i = admissible[0]
             else:
-                require(rs.pairing(beta, self.j) > 0, "reflection chain: <alpha_0, alpha_j^vee> <= 0")
+                require(row[self.j - 1] > 0, "reflection chain: <alpha_0, alpha_j^vee> <= 0")
                 i = self.j
             entries.append((i, beta))
             beta = rs.reflect(i, beta)
@@ -204,9 +208,9 @@ class BdsPair:
     def g0_weight_values(self, v: Sequence[int]) -> dict[int, int]:
         """Values <v, delta^vee> over Delta_0, keyed by the Delta_0 labels, with no quotient:
         the Cartan row at i in I(j), and at alpha_0 the comark sum sum_i c_i <v, alpha_i^vee>."""
-        rows = [self.rs.pairing(v, i) for i in self.rs.nodes]
-        values = {i: rows[i - 1] for i in self.i_complement}
-        values[0] = sum(c * r for c, r in zip(self.comarks_alpha0, rows))
+        row = self.rs.pairings(v)
+        values = {i: row[i - 1] for i in self.i_complement}
+        values[0] = sum(c * r for c, r in zip(self.comarks_alpha0, row))
         return values
 
     def g0_coroot_coordinates(self, a: Sequence[int]) -> tuple[int, ...]:
@@ -268,11 +272,22 @@ class BdsPair:
 
 
 def build_pair(rs: RootSystem | str, j: int, rank: int | None = None) -> BdsPair:
-    """Build the pair for a root system (or a (type, rank) spec) and node j."""
+    """The pair for a root system (or a (type, rank) spec) and node j.
+
+    A root system from `build` stands for its value (type, rank), so its
+    pairs are built once and shared; any other root system gets a new pair."""
     if isinstance(rs, str):
         if rank is None:
             raise ValueError("rank is required when passing a type letter")
         rs = build(rs, rank)
+    return _canonical_pair(rs, j) if rs.canonical else BdsPair(rs, j)
+
+
+@lru_cache(maxsize=None)
+def _canonical_pair(rs: RootSystem, j: int) -> BdsPair:
+    """The pair of a `build` root system, one per (type, rank, j): `build` gives one
+    object per (type, rank), and an invalid node raises, which is never cached,
+    so the domain is the finite set of valid pairs."""
     return BdsPair(rs, j)
 
 
@@ -291,7 +306,7 @@ def all_pairs(max_rank: int) -> list[BdsPair]:
                 continue
             rs = build(letter, n)
             for j in eligible_nodes(rs):
-                out.append(BdsPair(rs, j))
+                out.append(_canonical_pair(rs, j))
     return out
 
 

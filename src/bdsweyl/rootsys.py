@@ -6,8 +6,11 @@ symmetrized Cartan form normalized so that long roots have squared length 2.
 With L = lcm(d_i) the scaled form L * (a, b) is an integer on the root
 lattice (`RootSystem.form`), and it only measures lengths: d_alpha, the check
 (theta, theta) = 2 and the value of `inner`.  Pairings are Cartan-row sums,
-not quotients: <v, alpha_i^vee> is a Cartan row (`pairing`), and a pairing
-with any coroot sums the rows over its coroot coefficients.  A coroot
+not quotients: <v, alpha_i^vee> is a Cartan row, and a pairing with any
+coroot sums the rows over its coroot coefficients.  The reflection closure
+that finds the roots computes the row (<alpha, alpha_i^vee>)_i of each root
+to reflect it, and keeps it: `pairings` reads that table, bounded by |R|,
+for a root and sums the Cartan rows for any other lattice vector.  A coroot
 coefficient a_i(alpha) d_alpha / d_i, d_alpha and a Weyl dimension are integer
 quotients taken by `exact_quotient`, the one integrality check.  Every
 internal invariant of the package, that one included, fails through
@@ -126,8 +129,9 @@ class RootSystem:
         self.scale = lcm(*self.d)
         self.gram = tuple(tuple(self.scale // dp * c for c in row)
                           for dp, row in zip(self.d, self.cartan))
-        self.roots = self._close_roots()
-        self._root_set = frozenset(self.roots)
+        self._simple_roots = tuple(tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank))
+        self._rows = self._close_roots()
+        self.roots = tuple(sorted(self._rows))
         self.positive_roots = tuple(a for a in self.roots if min(a) >= 0)
         neg = frozenset(self._neg(a) for a in self.positive_roots)
         require(len(self.positive_roots) * 2 == len(self.roots) and neg.isdisjoint(self.positive_roots),
@@ -135,10 +139,11 @@ class RootSystem:
         self.theta = max(self.positive_roots, key=sum)
         heights = [sum(a) for a in self.positive_roots]
         require(heights.count(sum(self.theta)) == 1, "highest root is not unique")
-        require(all(self.pairing(self.theta, i) >= 0 for i in self.nodes),
-                "highest root is not dominant")
+        require(min(self.pairings(self.theta)) >= 0, "highest root is not dominant")
         require(self.form(self.theta, self.theta) == 2 * self.scale, "(theta, theta) != 2")
         self.marks = self.theta
+        # True only for the one system per value that `build` returns
+        self.canonical = False
 
     # -- basic structure -------------------------------------------------
 
@@ -147,28 +152,37 @@ class RootSystem:
         return range(1, self.rank + 1)
 
     def simple_root(self, i: int) -> Root:
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"node {i} out of range 1..{self.rank}")
+        return self._simple_roots[i - 1]
 
     def _neg(self, a: Root) -> Root:
         return tuple(-x for x in a)
 
-    def _close_roots(self) -> tuple[Root, ...]:
-        seen: set[Root] = {self.simple_root(i) for i in self.nodes}
+    def _close_roots(self) -> dict[Root, tuple[int, ...]]:
+        """Every root with its row of pairings, by closing the simple roots under
+        the simple reflections; s_i fixes a root whose i-th pairing is 0."""
+        rows: dict[Root, tuple[int, ...]] = {}
+        seen = set(self._simple_roots)
         queue = list(seen)
         while queue:
             a = queue.pop()
-            for i in self.nodes:
-                b = self.reflect(i, a)
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
+            rows[a] = row = self._row_sum(a)
+            for p, c in enumerate(row):
+                if c:
+                    b = list(a)
+                    b[p] -= c
+                    b = tuple(b)
+                    if b not in seen:
+                        seen.add(b)
+                        queue.append(b)
         expected = ROOT_COUNTS[self.type_letter](self.rank)
-        require(len(seen) == expected, "reflection closure gave {} roots, expected {}",
-                len(seen), expected)
-        return tuple(sorted(seen))
+        require(len(rows) == expected, "reflection closure gave {} roots, expected {}",
+                len(rows), expected)
+        return rows
 
     def is_root(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self._root_set
+        return tuple(v) in self._rows
 
     # -- bilinear form and coroots ---------------------------------------
 
@@ -185,10 +199,20 @@ class RootSystem:
         """Bilinear form on the root lattice, (theta, theta) = 2."""
         return Fraction(self.form(a, b), self.scale)
 
+    def _row_sum(self, v: Sequence[int]) -> tuple[int, ...]:
+        terms = [(q, vq) for q, vq in enumerate(v) if vq]
+        return tuple(sum(row[q] * vq for q, vq in terms) for row in self.cartan)
+
+    def pairings(self, v: Sequence[int]) -> tuple[int, ...]:
+        """The row (<v, alpha_i^vee>)_i for i = 1..n, v in root coordinates: kept
+        for a root, a Cartan-row sum for any other lattice vector."""
+        v = tuple(v)
+        row = self._rows.get(v)
+        return self._row_sum(v) if row is None else row
+
     def pairing(self, v: Sequence[int], i: int) -> int:
         """<v, alpha_i^vee> for v in root coordinates."""
-        row = self.cartan[i - 1]
-        return sum(row[q] * vq for q, vq in enumerate(v) if vq != 0)
+        return self.pairings(v)[i - 1]
 
     def d_alpha(self, a: Sequence[int]) -> int:
         """d_alpha = 2/(alpha, alpha); 1 for long roots, 2 or 3 for short ones."""
@@ -205,7 +229,7 @@ class RootSystem:
 
     def reflect(self, i: int, v: Sequence[int]) -> Root:
         """Simple reflection s_i on a root-lattice vector."""
-        coeff = self.pairing(v, i)
+        coeff = self.pairings(v)[i - 1]
         out = list(v)
         out[i - 1] -= coeff
         return tuple(out)
@@ -297,8 +321,11 @@ def require(ok: bool, message: str, *args) -> None:
 
 @lru_cache(maxsize=None)
 def build(type_letter: str, rank: int) -> RootSystem:
-    """Build (and cache) the root system of the given simple type."""
-    return RootSystem(type_letter, rank)
+    """Build (and cache) the root system of the given simple type: one
+    `canonical` object per valid (type, rank), a finite domain."""
+    rs = RootSystem(type_letter, rank)
+    rs.canonical = True
+    return rs
 
 
 def format_root(a: Sequence[int]) -> str:

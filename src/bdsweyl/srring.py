@@ -132,10 +132,7 @@ class SimplicialComplex:
         # so a is maximal iff that AND leaves only its own bit.  Facets are
         # told apart by identity: the same object listed twice is one facet.
         facets = list({id(f): f for f in self.facets}.values())
-        masks: dict = {}
-        for bit, f in enumerate(facets):
-            for v in f:
-                masks[v] = masks.get(v, 0) | 1 << bit
+        masks = _vertex_masks(facets)
         everything = (1 << len(facets)) - 1
         for bit, a in enumerate(facets):
             if reduce(and_, map(masks.__getitem__, a), everything) != 1 << bit:
@@ -145,6 +142,21 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.facets}
         return len(sizes) <= 1
+
+
+def _vertex_masks(facets: Sequence[frozenset]) -> dict:
+    """The mask of each vertex: bit b set iff facets[b] contains it.  The bits
+    are set in one little-endian bytearray per vertex, turned into an int once."""
+    size = (len(facets) + 7) >> 3
+    rows: dict = {}
+    for bit, f in enumerate(facets):
+        byte, b = bit >> 3, 1 << (bit & 7)
+        for v in f:
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = bytearray(size)
+            row[byte] |= b
+    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
 
 
 def _attaches(earlier: Iterable[frozenset], cand: frozenset) -> bool:
@@ -565,8 +577,8 @@ class SRPresentation:
         and a Cohen-Macaulay certificate (a shelling was exhibited)."""
         complex_ = self.facets()
         pure = complex_.is_pure
-        gens = self.generators
-        koszul = True if all(len(g) == 2 for g in gens) else None
+        # a generator has one variable at each node of nonzero level
+        koszul = True if all(len(t) - t.count(0) == 2 for t in self._generator_levels) else None
         cm = False
         if pure:
             if self.jac_zero and self.two_support_nodes:

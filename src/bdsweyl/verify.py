@@ -95,12 +95,15 @@ def check_pair_structure(pairs: list[BdsPair]) -> CheckResult:
                 return CheckResult("pair structure", False, f"|R_k| asymmetry for {pair.describe()}")
             pair.theta_k(k)  # requires uniqueness and the dominance conditions
         # each delta in Delta_0 reflects v to v - <v, delta^vee> delta, with the
-        # pairings of one g0_weight_values call: Cartan rows and the alpha_0 comark sum
+        # pairings of one g0_weight_values call: Cartan rows and the alpha_0 comark
+        # sum; a pairing of 0 leaves v fixed
         closure = set(pair.delta0)
         queue = list(closure)
         while queue:
             v = queue.pop()
             for c, d in zip(pair.g0_weight_values(v).values(), pair.delta0):
+                if not c:
+                    continue
                 w = tuple(x - c * y for x, y in zip(v, d))
                 if w not in closure:
                     closure.add(w)

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from bdsweyl import verify
 from bdsweyl.bdspair import (
     BdsPair,
+    _canonical_pair,
     all_pairs,
     alpha0_by_scan,
     build_pair,
     component_root_count,
     eligible_nodes,
 )
-from bdsweyl.cli import main
-from bdsweyl.rootsys import build
+from bdsweyl.cli import _dumps, _pair_payload, _presentation_payload, main
+from bdsweyl.rootsys import RootSystem, build
+from bdsweyl.srring import Weight0, presentation
 
 
 def b3_pair():
@@ -24,7 +26,9 @@ def b3_pair():
 
 def test_pair_query_scans_each_theta_once(capsys, monkeypatch):
     # E6 at node 4 has a_j = 3; the JSON payload and the text both ask for
-    # theta_1 and theta_2, and each scan reads R_k^+ through graded_positive
+    # theta_1 and theta_2, and each scan reads R_k^+ through graded_positive.
+    # The pair is built once per value, so a cold query scans each theta once
+    # and a warm repeat of it scans nothing.
     scans = Counter()
     graded_positive = BdsPair.graded_positive
 
@@ -34,10 +38,52 @@ def test_pair_query_scans_each_theta_once(capsys, monkeypatch):
 
     monkeypatch.setattr(BdsPair, "graded_positive", counting)
     for fmt in ("text", "json"):
+        _canonical_pair.cache_clear()
         scans.clear()
         assert main(["pair", "E", "6", "--node", "4", "--format", fmt]) == 0
         assert scans == {1: 1, 2: 1}
+        scans.clear()
+        assert main(["pair", "E", "6", "--node", "4", "--format", fmt]) == 0
+        assert scans == {}
     capsys.readouterr()
+
+
+def test_build_pair_is_one_object_per_value():
+    e6 = build("E", 6)
+    pair = build_pair("E", 4, rank=6)
+    assert build_pair("E", 4, rank=6) is pair
+    assert build_pair(e6, 4) is pair
+    assert pair.rs is e6
+    other_node = build_pair(e6, 3)
+    assert other_node is not pair and other_node.j == 3
+    assert all(p is build_pair(p.rs, p.j) for p in all_pairs(8))
+    # a root system that did not come from `build` gets a pair of its own, uncached
+    size = _canonical_pair.cache_info().currsize
+    own = RootSystem("E", 6)
+    mine = build_pair(own, 4)
+    assert mine is not pair and mine.rs is own and build_pair(own, 4) is not mine
+    assert _canonical_pair.cache_info().currsize == size
+    # an invalid node raises every time and is never cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mark"):
+            build_pair(e6, 1)
+    assert _canonical_pair.cache_info().currsize == size
+
+
+def _pair_and_alambda_json(pair):
+    lam = Weight0({k: 1 for k in pair.i_complement} | {0: 2})
+    return _dumps({"pair": _pair_payload(pair), **_presentation_payload(presentation(pair, lam), 12)})
+
+
+def test_cached_pairs_answer_as_fresh_ones():
+    # the shared pair, cold and then warm, writes the same pair and alambda
+    # JSON as a pair built anew for the query
+    for cached in all_pairs(8):
+        fresh = BdsPair(build(cached.rs.type_letter, cached.rs.rank), cached.j)
+        assert fresh is not cached
+        want = _pair_and_alambda_json(fresh)
+        assert _pair_and_alambda_json(cached) == want
+        assert _pair_and_alambda_json(cached) == want
 
 
 def test_rejects_mark_one_node():

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from bdsweyl.rootsys import ROOT_COUNTS, build, cartan_matrix, format_root
+from bdsweyl.rootsys import (CLASSICAL_MAX_RANK, ROOT_COUNTS, RootSystem, build, cartan_matrix,
+                              format_root, validate_type)
 
 ALL_TYPES = [("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
              ("D", range(3, 9)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]
@@ -109,6 +110,52 @@ def test_reflections():
             a = rng.choice(rs.roots)
             i = rng.randrange(1, rs.rank + 1)
             assert rs.reflect(i, rs.reflect(i, a)) == a
+
+
+def cartan_row_sums(rs, v):
+    """Oracle: (<v, alpha_i^vee>)_i, each the full sum over the Cartan row."""
+    c = cartan_matrix(rs.type_letter, rs.rank)
+    return tuple(sum(c[i][q] * v[q] for q in range(rs.rank)) for i in range(rs.rank))
+
+
+def valid_systems(max_rank):
+    """Every valid (type, rank) with rank <= max_rank."""
+    for letter in "ABCDEFG":
+        for n in range(1, max_rank + 1):
+            try:
+                validate_type(letter, n)
+            except ValueError:
+                continue
+            yield letter, n
+
+
+def test_pairing_table_matches_cartan_rows():
+    # the row kept for each root by the reflection closure is the Cartan-row
+    # sum, for every (type, rank); any other lattice vector is summed on the spot
+    rng = random.Random(3)
+    for letter, n in valid_systems(CLASSICAL_MAX_RANK):
+        rs = build(letter, n)
+        assert set(rs._rows) == set(rs.roots)
+        for a in rs.roots:
+            want = cartan_row_sums(rs, a)
+            assert rs.pairings(a) == want
+            assert rs.pairings(list(a)) == want
+            assert tuple(rs.pairing(a, i) for i in rs.nodes) == want
+        for _ in range(10):
+            v = tuple(rng.randrange(-4, 5) for _ in rs.nodes)
+            assert rs.pairings(v) == cartan_row_sums(rs, v)
+            i = rng.randrange(1, n + 1)
+            assert rs.reflect(i, v)[i - 1] == v[i - 1] - cartan_row_sums(rs, v)[i - 1]
+
+
+def test_build_marks_only_its_own_systems():
+    assert build("B", 3) is build("B", 3) and build("B", 3).canonical
+    own = RootSystem("B", 3)
+    assert not own.canonical and own.roots == build("B", 3).roots
+    with pytest.raises(ValueError, match="out of range"):
+        own.simple_root(0)
+    with pytest.raises(ValueError, match="out of range"):
+        own.simple_root(4)
 
 
 def test_longest_parabolic_word():

@@ -24,6 +24,7 @@ from bdsweyl.srring import (
     verify_shelling,
     _cancel,
     _trim,
+    _vertex_masks,
 )
 
 B3 = build_pair("B", 3, rank=3)
@@ -313,6 +314,22 @@ def test_maximality_check_matches_pairwise_loop(pool, picks):
     assert accepted == _pairwise_maximal(facets)
 
 
+def vertex_masks_by_or(facets):
+    """Oracle: each vertex mask grown by one big-int OR per incidence."""
+    masks = {}
+    for bit, f in enumerate(facets):
+        for v in f:
+            masks[v] = masks.get(v, 0) | 1 << bit
+    return masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 12), max_size=6), max_size=40))
+def test_vertex_masks_match_the_or_oracle(facets):
+    # facet counts on both sides of each byte boundary, empty facets included
+    assert _vertex_masks(facets) == vertex_masks_by_or(facets)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=7))
 def test_find_shelling_result_is_a_shelling(faces):
@@ -421,6 +438,8 @@ def test_generators_match_product_enumeration(data):
     gens = pres.generators
     assert set(gens) == generators_by_product(pres)
     assert list(gens) == sorted(gens, key=sorted)
+    # the Koszul flag, read from the generator levels, is the quadratic test
+    assert pres.flags()["koszul"] is (True if all(len(g) == 2 for g in gens) else None)
 
 
 @pytest.mark.parametrize("derive", [lambda pres: pres.facets(), lambda pres: pres.generators,
