@@ -272,22 +272,21 @@ class BdsPair:
 
 
 def build_pair(rs: RootSystem | str, j: int, rank: int | None = None) -> BdsPair:
-    """The pair for a root system (or a (type, rank) spec) and node j.
-
-    A root system from `build` stands for its value (type, rank), so its
-    pairs are built once and shared; any other root system gets a new pair."""
+    """The pair for a root system (or a (type, rank) spec) and node j, built
+    once per (root system, j) and shared."""
     if isinstance(rs, str):
         if rank is None:
             raise ValueError("rank is required when passing a type letter")
         rs = build(rs, rank)
-    return _canonical_pair(rs, j) if rs.canonical else BdsPair(rs, j)
+    return _pair(rs, j)
 
 
-@lru_cache(maxsize=None)
-def _canonical_pair(rs: RootSystem, j: int) -> BdsPair:
-    """The pair of a `build` root system, one per (type, rank, j): `build` gives one
-    object per (type, rank), and an invalid node raises, which is never cached,
-    so the domain is the finite set of valid pairs."""
+@lru_cache(maxsize=256)
+def _pair(rs: RootSystem, j: int) -> BdsPair:
+    """The one cache of pairs, keyed by (root system, j).  `build` gives one
+    system per (type, rank), so its pairs are one per (type, rank, j); 256 is
+    above the 201 valid pairs of all_pairs(12), so none of them is evicted by
+    another.  An invalid node raises and is never cached."""
     return BdsPair(rs, j)
 
 
@@ -306,7 +305,7 @@ def all_pairs(max_rank: int) -> list[BdsPair]:
                 continue
             rs = build(letter, n)
             for j in eligible_nodes(rs):
-                out.append(_canonical_pair(rs, j))
+                out.append(_pair(rs, j))
     return out
 
 

@@ -142,8 +142,6 @@ class RootSystem:
         require(min(self.pairings(self.theta)) >= 0, "highest root is not dominant")
         require(self.form(self.theta, self.theta) == 2 * self.scale, "(theta, theta) != 2")
         self.marks = self.theta
-        # True only for the one system per value that `build` returns
-        self.canonical = False
 
     # -- basic structure -------------------------------------------------
 
@@ -209,10 +207,6 @@ class RootSystem:
         v = tuple(v)
         row = self._rows.get(v)
         return self._row_sum(v) if row is None else row
-
-    def pairing(self, v: Sequence[int], i: int) -> int:
-        """<v, alpha_i^vee> for v in root coordinates."""
-        return self.pairings(v)[i - 1]
 
     def d_alpha(self, a: Sequence[int]) -> int:
         """d_alpha = 2/(alpha, alpha); 1 for long roots, 2 or 3 for short ones."""
@@ -322,10 +316,8 @@ def require(ok: bool, message: str, *args) -> None:
 @lru_cache(maxsize=None)
 def build(type_letter: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given simple type: one
-    `canonical` object per valid (type, rank), a finite domain."""
-    rs = RootSystem(type_letter, rank)
-    rs.canonical = True
-    return rs
+    object per valid (type, rank), a finite domain."""
+    return RootSystem(type_letter, rank)
 
 
 def format_root(a: Sequence[int]) -> str:

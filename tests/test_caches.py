@@ -2,7 +2,8 @@
 
 An `lru_cache` either has a finite `maxsize` or is listed in `FINITE_DOMAIN`
 with the finite set of values it can be called with; after `all_pairs` over
-every rank, no cache holds more entries than its bound."""
+every rank, no cache holds more entries than its bound, and the pair cache
+holds every valid pair at once."""
 
 import importlib
 import inspect
@@ -25,12 +26,14 @@ def valid_systems() -> list[tuple[str, int]]:
     return out
 
 
-# Unbounded caches and the size of their domain: one root system per valid
-# (type, rank), and one pair per valid (type, rank, node of mark >= 2).
+def valid_pair_count() -> int:
+    """One pair per valid (type, rank, node of mark >= 2)."""
+    return sum(len(eligible_nodes(build(t, n))) for t, n in valid_systems())
+
+
+# Unbounded caches and the size of their domain: one root system per valid (type, rank).
 FINITE_DOMAIN = {
     "bdsweyl.rootsys.build": lambda: len(valid_systems()),
-    "bdsweyl.bdspair._canonical_pair": lambda: sum(len(eligible_nodes(build(t, n)))
-                                                   for t, n in valid_systems()),
 }
 
 
@@ -51,7 +54,7 @@ def lru_caches() -> dict:
 
 def test_the_scan_finds_the_known_caches():
     names = set(lru_caches())
-    assert {"bdsweyl.rootsys.build", "bdsweyl.bdspair._canonical_pair",
+    assert {"bdsweyl.rootsys.build", "bdsweyl.bdspair._pair",
             "bdsweyl.garland.p_element", "bdsweyl.garland.exp_series",
             "bdsweyl.cli.build_parser"} <= names
 
@@ -68,6 +71,14 @@ def test_every_cache_is_bounded():
             assert maxsize is not None, f"{name} is unbounded and has no finite domain"
             bound = maxsize
         assert cache.cache_info().currsize <= bound, name
-    # all_pairs fills the pair cache with every valid pair, and nothing else
-    assert caches["bdsweyl.bdspair._canonical_pair"].cache_info().currsize == \
-        FINITE_DOMAIN["bdsweyl.bdspair._canonical_pair"]()
+
+
+def test_the_pair_cache_holds_every_valid_pair():
+    # from empty, all_pairs fills the pair cache with every valid pair and
+    # nothing else, and each is still the cached object afterwards
+    pair_cache = lru_caches()["bdsweyl.bdspair._pair"]
+    assert valid_pair_count() <= pair_cache.cache_parameters()["maxsize"]
+    pair_cache.cache_clear()
+    pairs = all_pairs(CLASSICAL_MAX_RANK)
+    assert pair_cache.cache_info().currsize == len(pairs) == valid_pair_count()
+    assert all(pair_cache(p.rs, p.j) is p for p in pairs)
