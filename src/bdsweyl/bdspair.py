@@ -12,6 +12,7 @@ keeps it; every pairing it reads is a row of the root system's table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -62,6 +63,7 @@ class BdsPair:
         self.marks_alpha0 = self.alpha0
         self.comarks_alpha0 = rs.coroot_coordinates(self.alpha0)
         self._thetas: dict[int, Root] = {}  # theta_k by k, each scanned once
+        self._default_chain: ReflectionChain | None = None  # reflection_chain(), built once
 
     def _check_alpha0(self) -> None:
         rs, j = self.rs, self.j
@@ -161,8 +163,11 @@ class BdsPair:
         At each step the next node i must satisfy (beta, alpha_i) > 0 and,
         when beta is not simple, beta + alpha_i must not be a root.  Ties are
         broken by the priority order `prefer` (default: smallest node first);
-        the per-node visit counts are independent of this choice.
+        the per-node visit counts are independent of this choice.  The default
+        chain is built once per pair; a `prefer` order is always walked afresh.
         """
+        if prefer is None and self._default_chain is not None:
+            return self._default_chain
         rs = self.rs
         order = tuple(prefer) if prefer is not None else tuple(rs.nodes)
         if sorted(order) != list(rs.nodes):
@@ -190,7 +195,10 @@ class BdsPair:
             entries.append((i, beta))
             beta = rs.reflect(i, beta)
             require(rs.is_root(beta) and min(beta) >= 0, "reflection chain left the positive roots")
-        return ReflectionChain(tuple(entries))
+        chain = ReflectionChain(tuple(entries))
+        if prefer is None:
+            self._default_chain = chain
+        return chain
 
     # -- the fixed-point subalgebra as a root subsystem ----------------------
 
@@ -313,14 +321,18 @@ def alpha0_by_scan(rs: RootSystem, j: int) -> Root:
     """Independent recomputation of alpha_0: scan R_0^+ for its simple system.
 
     The simple system of R_0 ^+ consists of the elements that are not sums of
-    two elements of R_0^+; exactly one of them is not a simple root of R.
+    two elements of R_0^+; exactly one of them is not a simple root of R.  Only
+    a b of lower height can give a - b in R_0^+, so each a scans the roots
+    below its height in the height-sorted list.
     """
     a_j = rs.marks[j - 1]
-    r0_pos = [a for a in rs.positive_roots if a[j - 1] % a_j == 0]
+    r0_pos = sorted((a for a in rs.positive_roots if a[j - 1] % a_j == 0), key=sum)
+    heights = [sum(a) for a in r0_pos]
     pos_set = set(r0_pos)
     simple_sys = []
-    for a in r0_pos:
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in r0_pos if b != a):
+    for a, h in zip(r0_pos, heights):
+        lower = r0_pos[:bisect_left(heights, h)]
+        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in lower):
             simple_sys.append(a)
     extras = [a for a in simple_sys if sum(a) > 1]
     require(len(extras) == 1, "alpha0_by_scan: expected one non-simple element, got {}", extras)

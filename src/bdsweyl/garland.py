@@ -20,8 +20,11 @@ coproduct H -> H (x) 1 + 1 (x) H is the ring map H[i,p] -> H[i,p] + H[i+n,p],
 which sends H_alpha[p] to H_{c+c}[p], so the coproduct of P[alpha, r] is the
 recursion run on the doubled coroot c + c.
 
-An `HPoly` keeps integer numerators over one denominator per polynomial, so
-the identities are checked in integer arithmetic.  The largest polynomial a
+An `HPoly` keeps integer numerators over one denominator per polynomial and
+packs each monomial into one int (packed exponent vectors): 12 p-slots per
+node, a 4-bit field per exponent, so p <= 12 and total degree <= 15.  A
+product of monomials is one addition, every sum of products is one kernel,
+`_dot`, and key tuples appear only at the edges.  The largest polynomial a
 check at order N builds is the doubled series at u^N; its monomials are
 counted before anything is built (`tensor_square_sizes`), and `check_order`
 refuses an order whose count is above MAX_TENSOR_TERMS.
@@ -29,7 +32,6 @@ refuses an order whose count is above MAX_TENSOR_TERMS.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -39,41 +41,63 @@ from math import gcd, lcm
 from .bdspair import BdsPair
 from .rootsys import require
 
-Key = tuple  # (i, p) for H[i,p]; in a tensor square, i > n is node i - n of the second factor
-Monomial = tuple  # sorted tuple of keys, with repetition
+# A key (i, p) is H[i,p]; in a tensor square, i > n is node i - n of the second factor.
+Monomial = tuple  # sorted tuple of keys, with repetition: the edge form of a packed monomial
 Coroot = tuple  # (c_1, ..., c_n) with h_alpha = sum_i c_i h_i
+
+# H[i,p] is field i * P_SLOTS + p - 1.  `check_order` admits at most order 11
+# (rank 2), and P[alpha, r] has weight r, so p and the total degree stay <= 11.
+FIELD_BITS = 4
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
+P_SLOTS = 12
+NODE_BITS = FIELD_BITS * P_SLOTS
+
+
+def _encode(m: Monomial) -> int:
+    """The packed int of a key tuple; a monomial outside the layout is refused."""
+    require(len(m) <= MAX_EXPONENT and all(i >= 0 and 1 <= p <= P_SLOTS for i, p in m),
+            "HPoly layout: monomial {} needs nodes >= 0, p in 1..{} and degree <= {}",
+            m, P_SLOTS, MAX_EXPONENT)
+    return sum(1 << FIELD_BITS * (i * P_SLOTS + p - 1) for i, p in m)
+
+
+def _decode(packed: int) -> Monomial:
+    """The sorted key tuple of a packed monomial, lowest field first."""
+    fields = range((packed.bit_length() + FIELD_BITS - 1) // FIELD_BITS)
+    return tuple((f // P_SLOTS, f % P_SLOTS + 1) for f in fields
+                 for _ in range(packed >> FIELD_BITS * f & MAX_EXPONENT))
 
 
 class HPoly:
     """Multivariate polynomial with exact rational coefficients in commuting
-    generators; monomials are kept as sorted key tuples (graded lex order).
-
-    The coefficients are stored as integer numerators over one positive
-    denominator `den`, in lowest terms: gcd(den, every numerator) = 1, and no
-    numerator is 0.  So equal polynomials have equal (den, nums), and `*` and
-    `sum` are integer arithmetic with one gcd per result.  `Fraction` enters
-    only at the edges: the constructor's input, `scale`'s argument, `terms`
-    and `repr`.
+    generators.  `nums` maps each packed monomial (an int; the monomial 1 is 0)
+    to its integer numerator over one positive denominator `den`, in lowest
+    terms: gcd(den, every numerator) = 1, and no numerator is 0, so equal
+    polynomials have equal (den, nums).  `deg` bounds the total degree from
+    above.  Key tuples and `Fraction` appear only at the edges: the
+    constructor's input, `scale`'s argument, the `terms` view (decoded on
+    iteration, encoded on lookup) and `repr`.
     """
 
-    __slots__ = ("den", "nums")
+    __slots__ = ("den", "nums", "deg")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        fracs = {m: Fraction(c) for m, c in (terms or {}).items() if c}
-        # Each Fraction is in lowest terms, so over the lcm of the
-        # denominators the numerators are already reduced.
+        terms = terms or {}
+        fracs = {_encode(m): Fraction(c) for m, c in terms.items() if c}
+        # Fractions are in lowest terms, so over the lcm of their denominators so are the numerators.
         self.den = lcm(*(c.denominator for c in fracs.values()))
         self.nums = {m: c.numerator * (self.den // c.denominator) for m, c in fracs.items()}
+        self.deg = max(map(len, terms), default=0)
 
     @classmethod
-    def _make(cls, den: int, nums: dict[Monomial, int]) -> "HPoly":
+    def _make(cls, den: int, nums: dict[int, int], deg: int) -> "HPoly":
         """A polynomial from numerators already in lowest terms over den."""
         poly = object.__new__(cls)
-        poly.den, poly.nums = den, nums
+        poly.den, poly.nums, poly.deg = den, nums, deg
         return poly
 
     @classmethod
-    def _reduced(cls, den: int, nums: dict[Monomial, int]) -> "HPoly":
+    def _reduced(cls, den: int, nums: dict[int, int], deg: int) -> "HPoly":
         """nums / den brought to lowest terms, with the zero numerators dropped."""
         if 0 in nums.values():
             nums = {m: c for m, c in nums.items() if c}
@@ -81,30 +105,16 @@ class HPoly:
         if g > 1:
             den //= g
             nums = {m: c // g for m, c in nums.items()}
-        return cls._make(den, nums)
+        return cls._make(den, nums, deg)
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only view of the coefficients as Fractions."""
+        """Read-only view of the coefficients as Fractions, keyed by key tuples."""
         return _Terms(self)
 
     @classmethod
     def sum(cls, polys: Iterable["HPoly"]) -> "HPoly":
-        """Collect the terms of all the polynomials over the lcm of their
-        denominators, taking the polynomials one at a time."""
-        den = 1
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for poly in polys:
-            if den % poly.den:
-                k = lcm(den, poly.den) // den
-                den *= k
-                for m in out:
-                    out[m] *= k
-            k = den // poly.den
-            for m, c in poly.nums.items():
-                out[m] = get(m, 0) + c * k
-        return cls._reduced(den, out)
+        return _dot((_ONE, poly) for poly in polys)
 
     @classmethod
     def const(cls, c) -> "HPoly":
@@ -127,52 +137,44 @@ class HPoly:
     def scale(self, c) -> "HPoly":
         c = Fraction(c)
         return HPoly._reduced(self.den * c.denominator,
-                              {m: x * c.numerator for m, x in self.nums.items()})
+                              {m: x * c.numerator for m, x in self.nums.items()}, self.deg)
 
     def __mul__(self, other: "HPoly") -> "HPoly":
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for m1, c1 in self.nums.items():
-            if len(m1) == 1:  # placed into each m2 by bisection
-                key = m1[0]
-                for m2, c2 in other.nums.items():
-                    i = bisect_right(m2, key)
-                    m = m2[:i] + m1 + m2[i:]
-                    out[m] = get(m, 0) + c1 * c2
-                continue
-            for m2, c2 in other.nums.items():
-                m = _monomial_product(m1, m2)
-                out[m] = get(m, 0) + c1 * c2
-        return HPoly._reduced(self.den * other.den, out)
+        return _dot(((self, other),))
 
     def __repr__(self) -> str:
-        if not self.nums:
-            return "0"
-        bits = []
-        terms = self.terms
-        for m in sorted(self.nums, key=lambda m: (len(m), m)):
-            mono = "*".join(f"H{list(k)}" for k in m) or "1"
-            bits.append(f"{terms[m]}*{mono}")
-        return " + ".join(bits)
+        """Terms by (degree, key tuple), each coefficient as str(Fraction)."""
+        rows = sorted((len(m), m, c) for m, c in self.terms.items())
+        return " + ".join(f"{c}*" + ("*".join(f"H{list(k)}" for k in m) or "1")
+                          for _, m, c in rows) or "0"
 
 
-def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
-    """The sorted key tuple of m1 * m2.  An empty factor gives the other one,
-    and a one-key factor is placed into the other by bisection; only a product
-    of two longer monomials is sorted whole."""
-    if len(m1) > len(m2):
-        m1, m2 = m2, m1
-    if len(m1) > 1:
-        return tuple(sorted(m1 + m2))
-    if not m1:
-        return m2
-    i = bisect_right(m2, m1[0])
-    return m2[:i] + m1 + m2[i:]
+_ONE = HPoly._make(1, {0: 1}, 0)
+
+
+def _dot(pairs: Iterable[tuple[HPoly, HPoly]]) -> HPoly:
+    """sum_k a_k * b_k, the one product kernel: one dict over the lcm of the
+    a_k.den * b_k.den, one gcd.  A product of packed monomials is the sum of
+    their ints, so no degree bound may pass MAX_EXPONENT, lest a field carry."""
+    pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
+    deg = max((a.deg + b.deg for a, b in pairs), default=0)
+    require(deg <= MAX_EXPONENT, "HPoly layout: product of degree up to {} above {}", deg, MAX_EXPONENT)
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        k = den // (a.den * b.den)
+        items = b.nums.items()
+        for m1, c1 in a.nums.items():
+            c1 *= k
+            for m2, c2 in items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    return HPoly._reduced(den, out, deg)
 
 
 class _Terms(Mapping):
-    """The monomial -> Fraction mapping of an HPoly, built on access, so that
-    `len` and iteration cost no Fraction."""
+    """The key tuple -> Fraction mapping of an HPoly, built on access: `len` decodes nothing."""
 
     __slots__ = ("_poly",)
 
@@ -180,10 +182,10 @@ class _Terms(Mapping):
         self._poly = poly
 
     def __getitem__(self, m: Monomial) -> Fraction:
-        return Fraction(self._poly.nums[m], self._poly.den)
+        return Fraction(self._poly.nums[_encode(m)], self._poly.den)
 
     def __iter__(self):
-        return iter(self._poly.nums)
+        return map(_decode, self._poly.nums)
 
     def __len__(self) -> int:
         return len(self._poly.nums)
@@ -197,8 +199,9 @@ def coroot(pair: BdsPair, alpha: Sequence[int]) -> Coroot:
 
 
 def h_alpha(c: Coroot, p: int) -> HPoly:
-    """H_alpha[p] = sum_i c_i H[i,p]."""
-    return HPoly._make(1, {((i, p),): ci for i, ci in enumerate(c, 1) if ci})
+    """H_alpha[p] = sum_i c_i H[i,p]: H[0,p] shifted to node i."""
+    unit = _encode(((0, p),))
+    return HPoly._make(1, {unit << NODE_BITS * i: ci for i, ci in enumerate(c, 1) if ci}, 1)
 
 
 # Largest number of monomials in the doubled series at u^N, the largest
@@ -252,7 +255,7 @@ def p_element(c: Coroot, r: int) -> HPoly:
 def _next_p(c: Coroot, ps: Sequence[HPoly]) -> HPoly:
     """One step of the recursion: P[r] from ps = P[0..r-1]."""
     r = len(ps)
-    return HPoly.sum(h_alpha(c, p) * ps[r - p] for p in range(1, r + 1)).scale(Fraction(-1, r))
+    return _dot((h_alpha(c, p).scale(Fraction(-1, r)), ps[r - p]) for p in range(1, r + 1))
 
 
 @lru_cache(maxsize=1024)
@@ -267,7 +270,7 @@ def exp_series(c: Coroot, N: int) -> tuple[HPoly, ...]:
     a = [HPoly()] + [h_alpha(c, p).scale(Fraction(-1, p)) for p in range(1, N + 1)]
     powers = [[HPoly.const(1)] + [HPoly()] * N]  # a^m / m! for m = 0..N
     for m in range(1, N + 1):
-        powers.append([x.scale(Fraction(1, m)) for x in _series_mul(powers[-1], a, N)])
+        powers.append(_series_mul(powers[-1], [x.scale(Fraction(1, m)) for x in a], N))
     out = tuple(HPoly.sum(col) for col in zip(*powers))
     for r in range(N + 1):
         require(out[r] == p_element(c, r), "series/recursion mismatch at u^{}", r)
@@ -275,15 +278,12 @@ def exp_series(c: Coroot, N: int) -> tuple[HPoly, ...]:
 
 
 def _series_mul(a: Sequence[HPoly], b: Sequence[HPoly], N: int) -> list[HPoly]:
-    return [HPoly.sum(a[i] * b[r - i] for i in range(r + 1)) for r in range(N + 1)]
+    return [_dot((a[i], b[r - i]) for i in range(r + 1)) for r in range(N + 1)]
 
 
 def _first_diff(lhs: Iterable[HPoly], rhs: Iterable[HPoly]):
     """The first order where two series differ, with both coefficients, or None."""
-    for r, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            return r, a, b
-    return None
+    return next(((r, a, b) for r, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
 
 
 def product_formula_diff(c: Coroot, N: int):
@@ -310,16 +310,15 @@ def grouplike_diff(c: Coroot, N: int):
     """Check the coproduct identity: applying H -> H(x)1 + 1(x)H to P[alpha,r],
     which is the recursion on c + c, must give sum_{s+t=r} P[alpha,s] (x)
     P[alpha,t].  Returns the first failing order and the two sides, or None."""
-    n, ps = len(c), [p_element(c, r) for r in range(N + 1)]
-    shifted = [HPoly._make(p.den, {tuple((i + n, q) for i, q in m): v for m, v in p.nums.items()})
-               for p in ps]
+    ps, shift = [p_element(c, r) for r in range(N + 1)], NODE_BITS * len(c)
+    shifted = [HPoly._make(p.den, {m << shift: v for m, v in p.nums.items()}, p.deg) for p in ps]
     return _first_diff(_doubled_series(c, N), _series_mul(ps, shifted, N))
 
 
 def newton_identity_holds(c: Coroot, r: int) -> bool:
     """r * P[alpha,r] + sum_p H_alpha[p] * P[alpha,r-p] = 0 as polynomials."""
-    terms = [h_alpha(c, p) * p_element(c, r - p) for p in range(1, r + 1)]
-    return HPoly.sum([p_element(c, r).scale(r)] + terms).is_zero()
+    pairs = [(h_alpha(c, p), p_element(c, r - p)) for p in range(1, r + 1)]
+    return _dot([(HPoly.const(r), p_element(c, r))] + pairs).is_zero()
 
 
 def root_failures(pair: BdsPair, alpha: tuple, N: int) -> list[dict]:

@@ -239,6 +239,16 @@ def test_reflection_chain_counts_match_comarks():
             assert last_beta == rs.simple_root(last_i)
 
 
+def test_default_chain_is_kept_once_per_pair_and_equals_a_fresh_walk():
+    for pair in all_pairs(8):
+        chain = pair.reflection_chain()
+        assert pair.reflection_chain() is chain
+        # a new object has no kept chain, and an explicit order walks afresh
+        assert BdsPair(pair.rs, pair.j).reflection_chain() == chain
+        assert pair.reflection_chain(pair.rs.nodes) == chain
+        assert pair.reflection_chain(pair.rs.nodes) is not chain
+
+
 def test_b3_chain_example():
     chain = b3_pair().reflection_chain()
     seq = chain.node_sequence

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -197,7 +197,8 @@ def test_evaluation_is_a_ring_homomorphism(summands, p, q, mapping, point):
 
 
 def fraction_product(a, b):
-    """Reference product of two monomial -> Fraction mappings, term by term."""
+    """Oracle: the product of two key tuple -> Fraction mappings, term by term,
+    with every concatenated key tuple sorted whole."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -239,17 +240,6 @@ def test_integer_numerators_agree_with_fraction_terms(p, q, summands, c, point):
         assert all(isinstance(v, Fraction) for v in poly.terms.values())
 
 
-# Oracle: the product with every concatenated key tuple sorted whole, as
-# HPoly.__mul__ did before it placed a one-key factor by bisection.
-def full_sort_product(x, y):
-    out = {}
-    for m1, c1 in x.nums.items():
-        for m2, c2 in y.nums.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return HPoly._reduced(x.den * y.den, out)
-
-
 # Monomials over more keys, up to degree 5, each key possibly repeated.
 long_monomials = st.lists(st.sampled_from(KEYS + [(0, 3), (2, 2), (4, 1)]),
                           max_size=5).map(lambda ks: tuple(sorted(ks)))
@@ -260,9 +250,58 @@ long_polys = st.dictionaries(long_monomials, small_fractions, max_size=6).map(HP
 @given(long_polys, long_polys)
 def test_product_matches_the_full_sort_oracle(x, y):
     for p, q in ((x, y), (y, x)):
-        product, expected = p * q, full_sort_product(p, q)
-        assert (product.den, product.nums) == (expected.den, expected.nums)
-        assert all(list(m) == sorted(m) for m in product.nums)
+        product, expected = p * q, fraction_product(p.terms, q.terms)
+        assert product.den == lcm(*(c.denominator for c in expected.values()))
+        assert dict(product.terms) == expected
+        assert all(type(m) is tuple and list(m) == sorted(m) for m in product.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_polys)
+def test_key_tuples_round_trip_through_the_packed_monomials(x):
+    # keys with node 0 and repeated keys included
+    assert HPoly(dict(x.terms)) == x
+    assert repr(HPoly(dict(x.terms))) == repr(x) == reference_repr(x)
+
+
+def test_repr_bytes_of_a_repeated_node_zero_key():
+    poly = HPoly({((0, 3), (0, 3), (1, 1)): Fraction(1, 2), (): -1, ((2, 1),): 3})
+    assert repr(poly) == "-1*1 + 3*H[2, 1] + 1/2*H[0, 3]*H[0, 3]*H[1, 1]"
+    assert dict(poly.terms) == {(): -1, ((2, 1),): 3, ((0, 3), (0, 3), (1, 1)): Fraction(1, 2)}
+
+
+def admitted(rank, N):
+    try:
+        garland.check_order(rank, N)
+    except ValueError:
+        return False
+    return True
+
+
+def test_layout_holds_at_every_admitted_order():
+    # The largest order the CLI admits per rank, at the highest node of the
+    # tensor square and the highest p: the key fits its slot, the degree-N
+    # monomial fits its field, and so does every product of degree N.
+    for rank in range(2, 13):
+        N = max(n for n in range(garland.P_SLOTS + 2) if admitted(rank, n))
+        assert not admitted(rank, N + 1)
+        assert N <= garland.P_SLOTS and N <= garland.MAX_EXPONENT
+        top = (2 * rank, N)
+        assert dict(HPoly({(top,) * N: 1}).terms) == {(top,) * N: 1}
+        for k in range(N + 1):
+            assert HPoly({(top,) * k: 1}) * HPoly({(top,) * (N - k): 1}) == HPoly({(top,) * N: 1})
+
+
+@pytest.mark.parametrize("code, message", [
+    ("x = HPoly({((1, 1),) * 8: 1})\nx * x\n", "HPoly layout: product of degree up to 16 above 15"),
+    ("HPoly({((1, 13),): 1})\n", "HPoly layout: monomial ((1, 13),) needs nodes >= 0, p in 1..12"),
+])
+def test_layout_guard_survives_optimized_mode(code, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", "from bdsweyl.garland import HPoly\n" + code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert message in proc.stderr
 
 
 @settings(max_examples=50, deadline=None)
