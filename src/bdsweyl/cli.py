@@ -176,7 +176,8 @@ def _prefix_table(items: list[str], sep: str) -> list[str]:
 
 
 def _facet_rows(pres: SRPresentation, style: _RowStyle) -> list[str]:
-    """The row of each facet of `pres.facets()`, in its order.
+    """The row of each facet, read from its top-level tuple in `pres._tops`,
+    in that order (no frozenset is built).
 
     A facet is P[i, 1..t_i] at each constrained node, t its top-level tuple,
     plus every variable of each free node.  So a row joins one prefix per

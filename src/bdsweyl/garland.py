@@ -83,7 +83,13 @@ class HPoly:
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         terms = terms or {}
-        fracs = {_encode(m): Fraction(c) for m, c in terms.items() if c}
+        # key tuples naming one monomial in different orders add up
+        sums: dict[int, Fraction] = {}
+        for m, c in terms.items():
+            if c:
+                packed = _encode(m)
+                sums[packed] = sums[packed] + c if packed in sums else Fraction(c)
+        fracs = {m: c for m, c in sums.items() if c}
         # Fractions are in lowest terms, so over the lcm of their denominators so are the numerators.
         self.den = lcm(*(c.denominator for c in fracs.values()))
         self.nums = {m: c.numerator * (self.den // c.denominator) for m, c in fracs.items()}

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from operator import and_, getitem, sub
+from itertools import accumulate, compress, repeat
+from operator import and_, ge, getitem, gt, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
@@ -335,37 +335,44 @@ class SRPresentation:
         minimal iff total - h0 <= least, the smallest w * r chosen; along the
         walk total only grows and least only shrinks, so a prefix with
         total - h0 > least is pruned, and so is a prefix with total + rest <=
-        h0, which no later levels take over h0.  The walk keeps an explicit
-        stack: a recursive closure reading self would be a reference cycle.
+        h0, which no later levels take over h0.  For r >= 1 both bounds are
+        one range: the prefix stays minimal iff total <= h0 and r <= (h0 +
+        least - total) // w, and it is kept iff r > (h0 - rest - total) // w.
+        The walk keeps an explicit stack: a recursive closure reading self
+        would be a reference cycle.
 
-        The tuples are sorted by one integer, the levels read in mixed radix
-        with 0 read as cap + 1.  That is the order of the generators sorted as
-        sorted variable lists: at the first node where two generators differ,
-        the one without a variable there has one of a later node, which sorts
-        after P[i, r]; neither can end there, since no generator contains
-        another.
+        The tuples come out in mixed-radix order, the levels read with 0 as
+        cap + 1: each node pushes level 0 first and then its levels from the
+        highest down, so they pop from the lowest up with 0 last, and the last
+        node appends its leaves in that order.  That is the order of the
+        generators sorted as sorted variable lists: at the first node where
+        two generators differ, the one without a variable there has one of a
+        later node, which sorts after P[i, r]; neither can end there, since no
+        generator contains another.
         """
         weights, caps, rests = self._walk_bounds
         h0 = self.h0
-        out = []
+        last = len(weights) - 1
+        out: list[tuple[int, ...]] = []
         # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
-        stack = [(0, 0, h0 + 1, 0, ())]
+        stack = [(0, 0, h0 + 1, ())] if weights else []
         while stack:
-            idx, total, least, key, levels = stack.pop()
-            if idx == len(weights):
-                if total > h0:  # false only at the root, when no node is constrained
-                    out.append((key, levels))
-                continue
+            idx, total, least, levels = stack.pop()
             w, cap, rest = weights[idx], caps[idx], rests[idx]
-            for r in range(cap + 1):
-                t = total + w * r
-                m = min(least, w * r) if r else least
-                if t - h0 > m:
-                    break  # t - m never shrinks as r grows
-                if t + rest > h0:
-                    stack.append((idx + 1, t, m, key * (cap + 2) + (r or cap + 1), levels + (r,)))
-        out.sort()
-        return tuple(levels for _, levels in out)
+            # the levels r >= 1 that keep the prefix minimal and can still violate
+            kept = range(max(1, (h0 - rest - total) // w + 1),
+                         min(cap, (h0 + least - total) // w) + 1 if total <= h0 else 1)
+            zero = total - h0 <= least and total + rest > h0
+            if idx == last:
+                out += [levels + (r,) for r in kept]
+                if zero:
+                    out.append(levels + (0,))
+                continue
+            if zero:
+                stack.append((idx + 1, total, least, levels + (0,)))
+            stack += [(idx + 1, total + w * r, min(least, w * r), levels + (r,))
+                      for r in reversed(kept)]
+        return tuple(out)
 
     def face_predicate(self, sigma: Iterable[SRVariable]) -> bool:
         """Whether sigma is a face: no generator divides its product."""
@@ -414,7 +421,14 @@ class SRPresentation:
         lexicographic order of the top-level tuples.  That is the order of the
         facets sorted as sorted variable lists: at the first node where two
         tuples differ, the larger top puts P[i, s + 1] where the other facet
-        has a variable of a later node (it cannot end there, being maximal)."""
+        has a variable of a later node (it cannot end there, being maximal).
+
+        The facets stay these tuples on the query path: facet t is
+        `_free_members` plus P[i, 1..t_i] at each constrained node i, of size
+        len(_free_members) + sum(t).  After the walk each tuple is checked
+        maximal by that rule, the list strictly descending (`_check_tops`) and
+        as long as `facet_count`, so it is every facet once.  The checks go
+        through `require`, so they hold under `python -O`."""
         count = self.facet_count()
         if count > MAX_FACETS:
             raise ValueError(f"too many facets: the complex has {count}, above the limit "
@@ -433,7 +447,35 @@ class SRPresentation:
                 below = least if m == cap else min(least, w)
                 if left - rest < below:
                     stack.append((idx + 1, left, below, tops + (m,)))
+        self._check_tops(out)
+        require(len(out) == count, "facets: the walk listed {} tuples, the count is {}",
+                len(out), count)
         return tuple(out)
+
+    def _check_tops(self, tops: Sequence[tuple[int, ...]]) -> None:
+        """Require each top-level tuple maximal and the list strictly descending.
+
+        Tuple t, with 0 <= t_i <= cap_i, is maximal iff it leaves budget left =
+        lam(h_0) - sum_i w_i t_i >= 0, and left < w_i at every node with t_i <
+        cap_i.  Distinct maximal tuples form an antichain, the guarantee of the
+        bitmask check in `SimplicialComplex`, and none of this repeats the
+        walk's pruning.  The budgets are summed a node column at a time, and
+        only a tuple that leaves at least the least weight is read node by node.
+        """
+        weights, caps, _ = self._walk_bounds
+        columns = list(zip(*tops))
+        require(all(min(column) >= 0 and max(column) <= cap for column, cap in zip(columns, caps)),
+                "facets: a top level outside 0..cap")
+        lefts = [self.h0] * len(tops)
+        for w, column in zip(weights, columns):
+            lefts = list(map(sub, lefts, map(mul, column, repeat(w))))
+        bad = next(compress(tops, map(lt, lefts, repeat(0))), None)
+        require(bad is None, "facets: top levels {} exceed lam(h_0)", bad)
+        least = min(weights, default=0)
+        for t, left in compress(zip(tops, lefts), map(ge, lefts, repeat(least))):
+            require(all(left < w for w, m, cap in zip(weights, t, caps) if m < cap),
+                    "facets: top levels {} are not maximal", t)
+        require(all(map(gt, tops, tops[1:])), "facets: top-level tuples not strictly descending")
 
     @cached_property
     def _free_members(self) -> tuple[SRVariable, ...]:
@@ -450,19 +492,23 @@ class SRPresentation:
 
     @cached_property
     def _complex(self) -> SimplicialComplex:
-        """The facets in walk order, which is their sorted order (`_tops`)."""
+        """The facets as frozensets in walk order, which is their sorted order
+        (`_tops`); `SimplicialComplex` checks them maximal by bitmasks."""
         nodes = self.constrained_nodes
         facets = tuple(self._facet_from_tops(zip(nodes, tops)) for tops in self._tops)
         return SimplicialComplex(self.variables, facets)
 
     def facets(self) -> SimplicialComplex:
-        """The simplicial complex of the presentation, built once."""
+        """The simplicial complex of the presentation, built once: the
+        frozenset view of `_tops` for the shelling code and the oracles.  The
+        query path (`krull_dim`, `flags`, the `alambda` rows) reads the tuples."""
         return self._complex
 
     def krull_dim(self) -> int:
-        """Krull dimension = maximal facet cardinality; checked against the
-        closed form lam(h_0) + sum over mark-zero nodes when it applies."""
-        dim = max(len(f) for f in self.facets().facets)
+        """Krull dimension = maximal facet cardinality, read from `_tops`;
+        checked against the closed form lam(h_0) + sum over mark-zero nodes
+        when it applies."""
+        dim = len(self._free_members) + max(map(sum, self._tops))
         if self.jac_zero:
             d = self.d_lambda()
             require(dim == d, "krull_dim: maximal facet size {} != d_lambda {}", dim, d)
@@ -574,9 +620,10 @@ class SRPresentation:
 
     def flags(self) -> dict:
         """Derived flags: jac_zero, koszul (True or None for unknown), purity,
-        and a Cohen-Macaulay certificate (a shelling was exhibited)."""
-        complex_ = self.facets()
-        pure = complex_.is_pure
+        and a Cohen-Macaulay certificate (a shelling was exhibited).  Purity
+        and the shelling-search guard are read from `_tops`: the facets all
+        have one size iff every top-level tuple has one sum."""
+        pure = len(set(map(sum, self._tops))) <= 1
         # a generator has one variable at each node of nonzero level
         koszul = True if all(len(t) - t.count(0) == 2 for t in self._generator_levels) else None
         cm = False
@@ -584,8 +631,8 @@ class SRPresentation:
             if self.jac_zero and self.two_support_nodes:
                 self.canonical_shelling()
                 cm = True
-            elif len(complex_.facets) <= 9:
-                cm = find_shelling(complex_) is not None
+            elif len(self._tops) <= 9:
+                cm = find_shelling(self.facets()) is not None
         return {
             "jac_zero": self.jac_zero,
             "koszul": koszul,

@@ -225,6 +225,35 @@ def test_krull_dim_failure_survives_optimized_mode():
     assert proc.stdout == ""
 
 
+# B7 at node 3: comark 2 at j, 10 facets, the first with top levels (2, 0, 0, 0)
+B7_TOPS = ("from bdsweyl.bdspair import build_pair\n"
+           "from bdsweyl.srring import Weight0, presentation\n"
+           "pres = presentation(build_pair('B', 3, rank=7),"
+           " Weight0.parse('h1=1,h4=2,h5=2,h6=3,h0=4'))\n"
+           "tops = list(pres._tops)\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("tops[0] = (1, 0, 0, 0)", "facets: top levels (1, 0, 0, 0) are not maximal"),
+    ("tops.append(tops[-1])", "facets: top-level tuples not strictly descending"),
+], ids=["lowered", "repeated"])
+def test_facet_tuple_check_survives_optimized_mode(edit, message):
+    proc = run_optimized(B7_TOPS + edit + "\npres._check_tops(tops)\n")
+    assert proc.returncode == 1
+    assert "AssertionError: " + message in proc.stderr
+
+
+def test_facet_tuple_count_failure_survives_optimized_mode():
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "srring.SRPresentation.facet_count = lambda self: 11\n"
+                         "sys.exit(cli.main(['alambda', 'B', '7', '--node', '3',"
+                         " '--weight', 'h1=1,h4=2,h5=2,h6=3,h0=4']))\n")
+    assert proc.returncode == 1
+    assert "property failure: facets: the walk listed 10 tuples, the count is 11" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_canonical_shelling_failure_survives_optimized_mode():
     proc = run_optimized("import sys\n"
                          "from bdsweyl import cli, srring\n"

@@ -270,6 +270,16 @@ def test_repr_bytes_of_a_repeated_node_zero_key():
     assert dict(poly.terms) == {(): -1, ((2, 1),): 3, ((0, 3), (0, 3), (1, 1)): Fraction(1, 2)}
 
 
+def test_key_tuples_of_one_monomial_in_any_order_add_up():
+    # two orders of one monomial are one packed key: the coefficients add, and
+    # a sum of 0 leaves no numerator
+    poly = HPoly({((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): 1})
+    assert repr(poly) == "2*H[1, 1]*H[2, 1]"
+    assert poly == HPoly({((1, 1), (2, 1)): 2})
+    zero = HPoly({((1, 1), (2, 1)): Fraction(1, 3), ((2, 1), (1, 1)): Fraction(-1, 3)})
+    assert zero == HPoly() and zero.nums == {} and zero.den == 1
+
+
 def admitted(rank, N):
     try:
         garland.check_order(rank, N)

@@ -517,8 +517,32 @@ def test_facet_limit_is_checked_before_the_walk():
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_tuple_reads_match_the_frozenset_oracle(data):
+    # krull_dim, purity and the facet count are read from the top-level tuples;
+    # building facets() afterwards runs the bitmask maximality check on the facets
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    dim, pure, count = pres.krull_dim(), pres.flags()["pure"], len(pres._tops)
+    complex_ = pres.facets()
+    assert dim == max(len(f) for f in complex_.facets)
+    assert pure is complex_.is_pure
+    assert count == len(complex_.facets)
+
+
+def test_alambda_payload_builds_no_frozensets():
+    # comark 2 at j, pure, and 10 facets: one above the shelling-search guard
+    pres = presentation(build_pair("B", 3, rank=7), Weight0.parse("h1=1,h4=2,h5=2,h6=3,h0=4"))
+    assert not pres.jac_zero and len(pres._tops) == 10
+    payload = _presentation_payload(pres, 12)
+    assert payload["flags"]["pure"] and not payload["flags"]["cohen_macaulay_certified"]
+    assert "_complex" not in vars(pres)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_generators_come_in_sorted_order(data):
-    # the integer-key order of the level tuples is the order of the generators
+    # the walk's push order of the level tuples is the order of the generators
     # sorted as sorted variable lists
     pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
     lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
