@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
-from operator import and_, ge, getitem, gt, lt, mul, sub
+from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
@@ -550,20 +550,19 @@ class SRPresentation:
         free nodes contribute 1.  Since Q_{m-1} = Q_m (1 - t^{a_j m}), that
         term is Q_m - Q_{m-1} (with Q_{-1} = 0).
 
-        The DP maps the budget of lam(h_0) still left, clamped to rest (the
-        sum of w * cap over the constrained nodes not yet placed), to the sum
-        of the products of the terms of the nodes already placed: any budget
-        of at least rest allows every later level, so those states merge.
-        Each node takes one step.  A state acc at budget left and level m adds
-        acc * (Q_m - Q_{m-1}) to the new key min(left - w m, rest), stored by
-        Abel summation as +acc at Q_m and -acc at Q_{m-1}; the levels whose key
-        is clamped telescope to one +acc at the largest of them.  Each new key
-        then sums its coefficients times the Q_m by Horner's rule, in sparse
-        steps (1 - t^d), so no product is dense.  At the last node rest is 0,
-        every state lands in key 0, and that key holds N.  The nodes go in
-        order of cap, the largest last, so the largest cap takes one Horner
-        pass.  N is kept whole when jac_zero (the reduced form is printed) and
-        truncated at degree D otherwise.
+        The DP maps the budget of lam(h_0) still left, clamped to rest (the sum
+        of w * cap over the constrained nodes not yet placed), to the sum of
+        the products of the terms of the nodes already placed: any budget of at
+        least rest allows every later level, so those states merge.  At each
+        node, a new key below rest is reached at level m only from the old
+        state s_m at key + w m, so by Abel summation its coefficient of Q_m is
+        s_m - s_{m+1} (0 for an absent state or m > cap).  Key rest takes each
+        old state once, at the largest level whose key is clamped (those levels
+        telescope).  Each new key sums its coefficients times the Q_m by
+        Horner's rule, in sparse steps (1 - t^d), so no product is dense.  At
+        the last node rest is 0 and key 0 holds N.  The nodes go in order of
+        cap, the largest last, so the largest cap takes one Horner pass.  N is
+        truncated at degree D unless jac_zero.
         """
         cut = None if self.jac_zero else D
         a_j = self.pair.a_j
@@ -573,28 +572,33 @@ class SRPresentation:
         for i in nodes:
             w, cap = self.comarks[i - 1], self.caps[i]
             rest -= w * cap
-            diffs: dict[int, dict[int, list[int]]] = {}  # new key -> m -> coefficient of Q_m
+            at_rest: dict[int, list[int]] = {}  # level -> sum of the states clamped there
+            below: set[int] = set()  # the new keys under rest
             for left, acc in states.items():
                 top = min(cap, left // w)
                 clamped = min(top, (left - rest) // w)  # levels <= clamped go to key rest
                 if clamped >= 0:
-                    _add_at(diffs.setdefault(rest, {}), clamped, acc)
-                levels = range(max(clamped + 1, 0), top + 1)
-                neg = [-c for c in acc] if levels else None
-                for m in levels:
-                    by_level = diffs.setdefault(left - w * m, {})
-                    _add_at(by_level, m, acc)
-                    if m:
-                        _add_at(by_level, m - 1, neg)
-            states = {}
-            for key, by_level in diffs.items():
-                low = min(by_level)
-                num = by_level[low]
-                for m in range(low + 1, cap + 1):
+                    at_rest[clamped] = _add(at_rest[clamped], acc) if clamped in at_rest else acc
+                below.update(range(left - w * max(clamped + 1, 0), left - w * top - 1, -w))
+            num = None
+            for m in range(cap + 1):  # key rest: the coefficient of Q_m is at_rest[m]
+                if num is not None:
                     num = _times_one_minus_td(num, a_j * m, cut)
-                    if m in by_level:
-                        num = _add(num, by_level[m])
-                states[key] = num
+                if m in at_rest:
+                    num = at_rest[m] if num is None else _add(num, at_rest[m])
+            new = {} if num is None else {rest: num}
+            for key in below:
+                num, s = None, states.get(key)
+                for m in range(cap + 1):  # the coefficient of Q_m is s - nxt
+                    nxt = states.get(key + w * (m + 1)) if m < cap else None
+                    if num is not None:
+                        num = _times_one_minus_td(num, a_j * m, cut)
+                    if s is not None or nxt is not None:
+                        c = s if nxt is None else _sub(s or [], nxt)
+                        num = c if num is None else _add(num, c)
+                    s = nxt
+                new[key] = num
+            states = new
         return ClosedForm(tuple(states[0]), tuple(sorted(v.degree for v in self.variables)))
 
     # -- shelling ---------------------------------------------------------------
@@ -694,18 +698,13 @@ def hilbert_series_bruteforce(pres: SRPresentation, D: int) -> tuple[int, ...]:
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:
-    """a + b as a new list: a copy of the longer one plus the shorter."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return out
+    """a + b as a new list (one of the two tails is empty); writes to neither."""
+    return [*map(add, a, b), *a[len(b):], *b[len(a):]]
 
 
-def _add_at(polys: dict[int, list[int]], key: int, p: list[int]) -> None:
-    """polys[key] += p, storing p itself when the key is new."""
-    polys[key] = _add(polys[key], p) if key in polys else p
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b as a new list (one of the two tails is empty); writes to neither."""
+    return [*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])]
 
 
 def _times_one_minus_td(p: list[int], d: int, D: int | None = None) -> list[int]:
