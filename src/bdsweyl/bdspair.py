@@ -13,7 +13,6 @@ keeps it; every pairing it reads is a row of the root system's table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -21,11 +20,31 @@ from .rootsys import (ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact
                       format_root, require, weyl_product)
 
 
-@dataclass(frozen=True)
 class ReflectionChain:
-    """Chain (i_r, beta_r) with beta_0 = alpha_0, beta_{r+1} = s_{i_r}(beta_r)."""
+    """Chain (i_r, beta_r) with beta_0 = alpha_0, beta_{r+1} = s_{i_r}(beta_r).
+    Immutable; equal, hashed and printed by `entries`."""
 
-    entries: tuple[tuple[int, Root], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, Root], ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(entries={self.entries!r})"
 
     @property
     def node_sequence(self) -> tuple[int, ...]:

@@ -19,7 +19,6 @@ take at most one variable per node.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
@@ -120,12 +119,34 @@ class SRVariable(NamedTuple):
         return f"P({self.node},{self.level})"
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite simplicial complex given by its vertices and facet list."""
+    """A finite simplicial complex given by its vertices and facet list.
+    Immutable; equal, hashed and printed by its fields, in order."""
 
-    vertices: tuple[SRVariable, ...]
-    facets: tuple[frozenset, ...]
+    __slots__ = ("vertices", "facets")
+
+    def __init__(self, vertices: tuple[SRVariable, ...], facets: tuple[frozenset, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "facets", facets)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.facets) == (other.vertices, other.facets)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.facets))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(vertices={self.vertices!r}, "
+                f"facets={self.facets!r})")
 
     def __post_init__(self):
         # Facet b contains a iff bit b is set in the mask of every vertex of a,
@@ -198,8 +219,7 @@ def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
     return extend([], facets)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """Rational form numerator / prod_d (1 - t^d), d over `denominator`."""
 
     numerator: tuple[int, ...]
@@ -221,13 +241,37 @@ class ClosedForm:
         return f"({num}) / {den}"
 
 
-@dataclass(frozen=True)
 class HilbertSeries:
-    """Exact truncated Hilbert series, with a closed rational form when available."""
+    """Exact truncated Hilbert series, with a closed rational form when available.
+    Immutable; equal, hashed and printed by its fields, in order."""
 
-    truncation_degree: int
-    coefficients: tuple[int, ...]
-    closed_form: ClosedForm | None = None
+    __slots__ = ("truncation_degree", "coefficients", "closed_form")
+
+    def __init__(self, truncation_degree: int, coefficients: tuple[int, ...],
+                 closed_form: ClosedForm | None = None):
+        object.__setattr__(self, "truncation_degree", truncation_degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "closed_form", closed_form)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.truncation_degree, self.coefficients, self.closed_form)
+                == (other.truncation_degree, other.coefficients, other.closed_form))
+
+    def __hash__(self) -> int:
+        return hash((self.truncation_degree, self.coefficients, self.closed_form))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(truncation_degree={self.truncation_degree!r}, "
+                f"coefficients={self.coefficients!r}, closed_form={self.closed_form!r})")
 
     def __post_init__(self):
         coeffs = self.coefficients
@@ -710,9 +754,9 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
 def _times_one_minus_td(p: list[int], d: int, D: int | None = None) -> list[int]:
     """p * (1 - t^d) in O(len(p)) steps, truncated at degree D when D is given."""
     n = len(p) + d if D is None else min(len(p) + d, D + 1)
-    out = p[:n] + [0] * (n - len(p))
-    out[d:] = map(sub, out[d:], p)
-    return out
+    h = min(d, n)  # the head, where the product is p alone
+    return [*p[:h], *repeat(0, h - len(p)),
+            *map(sub, p[d:n], p), *map(neg, p[max(len(p) - d, 0):n - h])]
 
 
 def _trim(p: list[int]) -> list[int]:

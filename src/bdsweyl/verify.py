@@ -9,8 +9,8 @@ identical inputs give identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, all_pairs, alpha0_by_scan, component_root_count
@@ -18,8 +18,7 @@ from .rootsys import CLASSICAL_MAX_RANK
 from .srring import SimplicialComplex, Weight0, hilbert_series_bruteforce, presentation, verify_shelling
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

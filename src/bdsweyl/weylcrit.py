@@ -10,22 +10,41 @@ formulas for the pair (B_n, D_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bdspair import BdsPair
 from .rootsys import require
 from .srring import Weight0
 
 
-@dataclass(frozen=True)
 class DeltaWeight:
-    """Weight given by its values on every h_i, i in I; the value at j may be negative."""
+    """Weight given by its values on every h_i, i in I; the value at j may be negative.
+    Immutable; equal, hashed and printed by `values`."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(values={self.values!r})"
 
     @classmethod
     def of(cls, rank: int, vals: Mapping[int, int]) -> "DeltaWeight":
@@ -102,22 +121,19 @@ def is_global_weyl_irreducible(pair: BdsPair, lam: Weight0) -> bool:
 # -- evaluation parameters and ideal points -----------------------------------
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(NamedTuple):
     """One evaluation point: the a_j-th power of the parameter and a dominant weight."""
 
     z_power: Fraction
     weight: DeltaWeight
 
 
-@dataclass(frozen=True)
-class EvalParams:
+class EvalParams(NamedTuple):
     mu: Weight0
     points: tuple[EvalPoint, ...]
 
 
-@dataclass(frozen=True)
-class IdealPoint:
+class IdealPoint(NamedTuple):
     """Exact scalars pi[i][r] satisfying the presentation relations at weight lam."""
 
     lam: Weight0
@@ -273,8 +289,7 @@ def spin_module_dim(pair: BdsPair, r: int) -> int:
     return pair.g0_weyl_dim({n - 1: r})
 
 
-@dataclass(frozen=True)
-class LocalDimReport:
+class LocalDimReport(NamedTuple):
     """Both closed forms for a local Weyl dimension, with the mismatch surfaced."""
 
     node: int
@@ -307,8 +322,7 @@ def local_weyl_dim_report(pair: BdsPair, i: int, r: int) -> LocalDimReport:
 # -- recorded constants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecordedConstant:
+class RecordedConstant(NamedTuple):
     pair_name: str
     weight: str
     ideal_kind: str

@@ -225,6 +225,13 @@ def test_krull_dim_failure_survives_optimized_mode():
     assert proc.stdout == ""
 
 
+def test_bad_hilbert_series_is_refused_under_optimized_mode():
+    proc = run_optimized("from bdsweyl.srring import HilbertSeries\n"
+                         "HilbertSeries(2, (2, 1, 1))\n")
+    assert proc.returncode == 1
+    assert "AssertionError: Hilbert series: constant coefficient 2 != 1" in proc.stderr
+
+
 # B7 at node 3: comark 2 at j, 10 facets, the first with top levels (2, 0, 0, 0)
 B7_TOPS = ("from bdsweyl.bdspair import build_pair\n"
            "from bdsweyl.srring import Weight0, presentation\n"

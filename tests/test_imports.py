@@ -1,7 +1,13 @@
-"""Every module of the package uses each name it imports, and only the
-modules whose values can be non-integral import `fractions`."""
+"""Every module of the package uses each name it imports, only the modules
+whose values can be non-integral import `fractions`, none imports
+`dataclasses`, and `import bdsweyl` loads a module only when a name of it is
+first used."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,21 +45,72 @@ def test_no_unused_imports(path):
 FRACTION_MODULES = {"rootsys.py", "garland.py", "weylcrit.py", "verify.py"}
 
 
-def imports_fractions(source: str) -> bool:
+def imports_module(source: str, name: str) -> bool:
+    """Whether `source` imports the top-level module `name`."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name == name for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == name:
             return True
     return False
 
 
 def test_guard_sees_fractions_imports():
-    assert imports_fractions("from fractions import Fraction\n")
-    assert imports_fractions("import os, fractions as fr\n")
-    assert not imports_fractions("from .rootsys import Fraction\nimport fractional\n")
+    assert imports_module("from fractions import Fraction\n", "fractions")
+    assert imports_module("import os, fractions as fr\n", "fractions")
+    assert not imports_module("from .rootsys import Fraction\nimport fractional\n", "fractions")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_fractions_only_where_values_are_rational(path):
-    assert path.name in FRACTION_MODULES or not imports_fractions(path.read_text())
+    assert path.name in FRACTION_MODULES or not imports_module(path.read_text(), "fractions")
+
+
+def test_guard_sees_dataclasses_imports():
+    assert imports_module("from dataclasses import dataclass\n", "dataclasses")
+    assert imports_module("import os, dataclasses as dc\n", "dataclasses")
+    assert not imports_module("from .dataclasses import x\nimport dataclasses_json\n", "dataclasses")
+
+
+# `dataclasses` imports `inspect`, and with it `ast`, `dis` and `tokenize`,
+# into every process that imports the package
+@pytest.mark.parametrize("path", MODULES + [Path(bdsweyl.__file__)], ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert not imports_module(path.read_text(), "dataclasses")
+
+
+FOOTPRINT = """
+import sys
+import bdsweyl
+bdsweyl.build("B", 3)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "bdsweyl"))
+import bdsweyl.cli
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_import_loads_only_what_a_path_uses():
+    # -S: no site hooks, so every module loaded is one the package asked for
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_build, heavy = map(ast.literal_eval, proc.stdout.splitlines())
+    assert after_build == ["bdsweyl", "bdsweyl.rootsys"]
+    assert heavy == []
+
+
+def test_every_public_name_resolves_in_its_home_module():
+    for name in bdsweyl.__all__:
+        obj = getattr(bdsweyl, name)
+        home = importlib.import_module(obj.__module__)
+        assert getattr(home, name) is obj
+        assert home.__name__ == f"bdsweyl.{bdsweyl._HOME[name]}"
+    assert set(bdsweyl.__all__) <= set(dir(bdsweyl))
+    namespace = {}
+    exec("from bdsweyl import *", namespace)
+    assert {n: namespace[n] for n in bdsweyl.__all__} == {n: getattr(bdsweyl, n) for n in bdsweyl.__all__}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bdsweyl.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bdsweyl import no_such_name", {})

@@ -5,6 +5,7 @@ import tracemalloc
 import weakref
 from functools import reduce
 from itertools import combinations, product, zip_longest
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from bdsweyl.srring import (
     _add,
     _cancel,
     _sub,
+    _times_one_minus_td,
     _trim,
     _vertex_masks,
 )
@@ -699,3 +701,21 @@ def test_cancel_matches_long_division(base, factors, extra):
     for denom in (factors + extra, extra):
         assert _cancel(num, denom) == _cancel_by_division(num, denom)
         assert _cancel(base, denom) == _cancel_by_division(base, denom)
+
+
+def times_one_minus_td_by_slices(p, d, D=None):
+    """Oracle: the slice-assignment form of p * (1 - t^d), truncated at D."""
+    n = len(p) + d if D is None else min(len(p) + d, D + 1)
+    out = p[:n] + [0] * (n - len(p))
+    out[d:] = map(sub, out[d:], p)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=14),
+       d=st.integers(0, 18), D=st.none() | st.integers(0, 30))
+def test_times_one_minus_td_matches_the_slice_oracle(p, d, D):
+    # covers d >= len(p) (a gap of zeros) and D inside the head, overlap or tail
+    before = list(p)
+    assert _times_one_minus_td(p, d, D) == times_one_minus_td_by_slices(p, d, D)
+    assert p == before
