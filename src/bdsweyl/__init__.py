@@ -1,41 +1,45 @@
 """Exact computations around Borel-de Siebenthal pairs: root-system structure
 constants, the Stanley-Reisner presentation of global Weyl module endomorphism
 algebras with Hilbert series and shellings, irreducibility and
-finite-dimensionality criteria, and local Weyl module dimensions for (B_n, D_n).
+finite-dimensionality criteria, and local Weyl module dimensions for (B_n, D_n)."""
 
-Importing the package loads none of its modules.  A public name imports its
-home module on first access (PEP 562), so `bdsweyl.build` loads `rootsys`
-alone."""
+from .bdspair import BdsPair, ReflectionChain, all_pairs, build_pair, eligible_nodes
+from .rootsys import RootSystem, build
+from .srring import (
+    HilbertSeries,
+    SimplicialComplex,
+    SRPresentation,
+    SRVariable,
+    Weight0,
+    hilbert_series_bruteforce,
+    presentation,
+    verify_shelling,
+)
+from .weylcrit import (
+    DeltaWeight,
+    EvalParams,
+    EvalPoint,
+    IdealPoint,
+    ideal_point_from_params,
+    is_alambda_trivial,
+    is_global_weyl_irreducible,
+    local_weyl_dim_bn,
+    local_weyl_dim_report,
+    record_constants,
+    sl2_local_weyl_basis,
+    weight_convert,
+    weight_restrict,
+)
 
-from importlib import import_module
-
-_HOME = {
-    "BdsPair": "bdspair", "ReflectionChain": "bdspair", "all_pairs": "bdspair",
-    "build_pair": "bdspair", "eligible_nodes": "bdspair",
-    "RootSystem": "rootsys", "build": "rootsys",
-    "HilbertSeries": "srring", "SimplicialComplex": "srring", "SRPresentation": "srring",
-    "SRVariable": "srring", "Weight0": "srring", "hilbert_series_bruteforce": "srring",
-    "presentation": "srring", "verify_shelling": "srring",
-    "DeltaWeight": "weylcrit", "EvalParams": "weylcrit", "EvalPoint": "weylcrit",
-    "IdealPoint": "weylcrit", "ideal_point_from_params": "weylcrit",
-    "is_alambda_trivial": "weylcrit", "is_global_weyl_irreducible": "weylcrit",
-    "local_weyl_dim_bn": "weylcrit", "local_weyl_dim_report": "weylcrit",
-    "record_constants": "weylcrit", "sl2_local_weyl_basis": "weylcrit",
-    "weight_convert": "weylcrit", "weight_restrict": "weylcrit",
-}
-
-__all__ = list(_HOME)
+__all__ = [
+    "BdsPair", "ReflectionChain", "all_pairs", "build_pair", "eligible_nodes",
+    "RootSystem", "build",
+    "HilbertSeries", "SimplicialComplex", "SRPresentation", "SRVariable", "Weight0",
+    "hilbert_series_bruteforce", "presentation", "verify_shelling",
+    "DeltaWeight", "EvalParams", "EvalPoint", "IdealPoint",
+    "ideal_point_from_params", "is_alambda_trivial", "is_global_weyl_irreducible",
+    "local_weyl_dim_bn", "local_weyl_dim_report", "record_constants",
+    "sl2_local_weyl_basis", "weight_convert", "weight_restrict",
+]
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

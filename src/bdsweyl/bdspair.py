@@ -46,6 +46,10 @@ class ReflectionChain:
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(entries={self.entries!r})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, (self.entries,)
+
     @property
     def node_sequence(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)

@@ -313,6 +313,20 @@ def require(ok: bool, message: str, *args) -> None:
         raise AssertionError(message.format(*args) if args else message)
 
 
+def record_eq(self, other):
+    """`==` of a frozen record kept as a `NamedTuple`: equal fields and the same
+    class, as a frozen dataclass compares.  A plain tuple, or a record of
+    another class, with the same values is unequal."""
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def record_ne(self, other):
+    eq = record_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
 @lru_cache(maxsize=None)
 def build(type_letter: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given simple type: one

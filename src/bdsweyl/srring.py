@@ -25,7 +25,7 @@ from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
-from .rootsys import require
+from .rootsys import record_eq, record_ne, require
 
 # Largest accepted sum of the variable degrees, sum_i a_j * cap_i (cap_i + 1) / 2.
 # That sum is the degree of the Hilbert series denominator and bounds the
@@ -119,34 +119,23 @@ class SRVariable(NamedTuple):
         return f"P({self.node},{self.level})"
 
 
-class SimplicialComplex:
+class _ComplexFields(NamedTuple):
+    vertices: tuple[SRVariable, ...]
+    facets: tuple[frozenset, ...]
+
+
+class SimplicialComplex(_ComplexFields):
     """A finite simplicial complex given by its vertices and facet list.
-    Immutable; equal, hashed and printed by its fields, in order."""
+    A `NamedTuple` equal only to a complex; made through `__post_init__`,
+    read from the class, so the facet check can be rebound there."""
 
-    __slots__ = ("vertices", "facets")
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-    def __init__(self, vertices: tuple[SRVariable, ...], facets: tuple[frozenset, ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", facets)
+    def __new__(cls, vertices: tuple[SRVariable, ...], facets: tuple[frozenset, ...]):
+        self = super().__new__(cls, vertices, facets)
         self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.facets) == (other.vertices, other.facets)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.facets))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(vertices={self.vertices!r}, "
-                f"facets={self.facets!r})")
+        return self
 
     def __post_init__(self):
         # Facet b contains a iff bit b is set in the mask of every vertex of a,
@@ -224,6 +213,7 @@ class ClosedForm(NamedTuple):
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def coefficients(self, D: int) -> tuple[int, ...]:
         out = list(self.numerator[:D + 1])
@@ -241,37 +231,24 @@ class ClosedForm(NamedTuple):
         return f"({num}) / {den}"
 
 
-class HilbertSeries:
+class _SeriesFields(NamedTuple):
+    truncation_degree: int
+    coefficients: tuple[int, ...]
+    closed_form: ClosedForm | None = None
+
+
+class HilbertSeries(_SeriesFields):
     """Exact truncated Hilbert series, with a closed rational form when available.
-    Immutable; equal, hashed and printed by its fields, in order."""
+    A `NamedTuple` equal only to a series; made through `__post_init__`."""
 
-    __slots__ = ("truncation_degree", "coefficients", "closed_form")
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
-    def __init__(self, truncation_degree: int, coefficients: tuple[int, ...],
-                 closed_form: ClosedForm | None = None):
-        object.__setattr__(self, "truncation_degree", truncation_degree)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "closed_form", closed_form)
+    def __new__(cls, truncation_degree: int, coefficients: tuple[int, ...],
+                closed_form: ClosedForm | None = None):
+        self = super().__new__(cls, truncation_degree, coefficients, closed_form)
         self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.truncation_degree, self.coefficients, self.closed_form)
-                == (other.truncation_degree, other.coefficients, other.closed_form))
-
-    def __hash__(self) -> int:
-        return hash((self.truncation_degree, self.coefficients, self.closed_form))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(truncation_degree={self.truncation_degree!r}, "
-                f"coefficients={self.coefficients!r}, closed_form={self.closed_form!r})")
+        return self
 
     def __post_init__(self):
         coeffs = self.coefficients

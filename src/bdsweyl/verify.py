@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, all_pairs, alpha0_by_scan, component_root_count
-from .rootsys import CLASSICAL_MAX_RANK
+from .rootsys import CLASSICAL_MAX_RANK, record_eq, record_ne
 from .srring import SimplicialComplex, Weight0, hilbert_series_bruteforce, presentation, verify_shelling
 
 
@@ -22,6 +22,7 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"

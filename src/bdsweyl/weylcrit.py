@@ -16,7 +16,7 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .bdspair import BdsPair
-from .rootsys import require
+from .rootsys import record_eq, record_ne, require
 from .srring import Weight0
 
 
@@ -45,6 +45,10 @@ class DeltaWeight:
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(values={self.values!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, (self.values,)
 
     @classmethod
     def of(cls, rank: int, vals: Mapping[int, int]) -> "DeltaWeight":
@@ -126,11 +130,13 @@ class EvalPoint(NamedTuple):
 
     z_power: Fraction
     weight: DeltaWeight
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 class EvalParams(NamedTuple):
     mu: Weight0
     points: tuple[EvalPoint, ...]
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 class IdealPoint(NamedTuple):
@@ -139,6 +145,7 @@ class IdealPoint(NamedTuple):
     lam: Weight0
     mu_h0: int
     pi: tuple[tuple[Fraction, ...], ...]  # coefficient list of pi_i(u), per node
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def pi_coeff(self, i: int, r: int) -> Fraction:
         row = self.pi[i - 1]
@@ -298,6 +305,7 @@ class LocalDimReport(NamedTuple):
     displayed_value: int | None
     mismatch: bool
     spin_value: int | None
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def lines(self) -> list[str]:
         out = [f"dim W_loc({self.multiplicity} * lambda_{self.node}) = {self.value}"]
@@ -329,6 +337,7 @@ class RecordedConstant(NamedTuple):
     dim: int
     computed: bool
     note: str
+    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 _RECORDED = (

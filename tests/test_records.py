@@ -1,8 +1,10 @@
 """The frozen records of the package behave as `@dataclass(frozen=True)`
-records with the same fields would: the same `repr`, `==` and `hash`, and no
-attribute assignment.  The dataclass twins are built here only; the package
-itself does not import `dataclasses`."""
+records with the same fields would: the same `repr`, `==` and `hash`, no
+attribute assignment, and `copy` and `pickle` round trips.  The dataclass
+twins are built here only; the package itself does not import `dataclasses`."""
 
+import copy
+import pickle
 import random
 from dataclasses import field, make_dataclass
 from fractions import Fraction
@@ -86,8 +88,10 @@ def test_record_matches_its_frozen_dataclass_twin(cls):
     for r, t in zip(records, twins):
         assert repr(r) == repr(t)
         assert hash(r) == hash(t)
-        for a, b in ((r, t), (t, r)):
-            assert a != b and not a == b  # a record never equals another class
+        fields = tuple(values(r))
+        for a, b in ((r, t), (t, r), (r, fields), (fields, r)):
+            assert a != b and not a == b  # a record never equals another class, nor a tuple
+        assert len({r, fields}) == 2
         for name in [name for name, _ in FIELDS[cls]] + ["extra"]:
             with pytest.raises(AttributeError):
                 setattr(r, name, None)
@@ -129,3 +133,17 @@ def test_post_init_patched_on_the_class_sees_each_construction(monkeypatch, cls,
     monkeypatch.setattr(cls, "__post_init__", counted)
     made = [make(), make()]
     assert [id(r) for r in seen] == [id(r) for r in made]
+
+
+def test_records_of_different_classes_with_the_same_fields_differ():
+    same = [ClosedForm((), ()), EvalPoint((), ()), EvalParams((), ()), SimplicialComplex((), ())]
+    assert len(set(same)) == len(same)
+    assert all(a != b and not a == b for a in same for b in same if a is not b)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_record_survives_copy_and_pickle(cls):
+    for r in samples(cls):
+        for back in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(back) is cls
+            assert back == r and repr(back) == repr(r)
