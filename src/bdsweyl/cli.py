@@ -3,13 +3,14 @@
 Subcommands: pair, alambda, hilbert, localdim, idealpoint, garland-check,
 verify-all.  Output is deterministic text or JSON (schema documented in
 docs/json-schema-v1.md; rationals are rendered as exact 'p/q' strings), the
-JSON written by `_dumps`.
+JSON written by `_dumps`.  The arguments of every subcommand are declared
+once, in `COMMANDS`: `_plain_args` reads an argv in the plain form from it,
+and any other argv goes to the argparse parser `build_parser` makes from it.
 Exit codes: 0 success, 1 property failure, 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
@@ -17,6 +18,7 @@ from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import getitem
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import garland, weylcrit
@@ -366,73 +368,169 @@ def cmd_verify_all(args):
     return payload, text, 0 if payload["status"] == "pass" else 1
 
 
+class _Arg(NamedTuple):
+    """One argument of a subcommand: a positional, or an option when `name` is
+    a `--flag`.  `type` converts the token (None keeps the string); `exclusive`
+    puts the option in the subcommand's one mutually exclusive group."""
+
+    name: str
+    type: Callable[[str], int] | None = None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+    exclusive: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class _Command:
+    """A subcommand: its name, its help, the name of its `cmd_*` function and
+    its arguments in the order the help lists them; then what `_plain_args`
+    reads of them.  The function is looked up in the module at parse time, so
+    a wrapper bound to that name is what runs."""
+
+    __slots__ = ("name", "help", "func", "args", "positionals", "options", "defaults",
+                 "required", "exclusive")
+
+    def __init__(self, name: str, help: str, func: str, *args: _Arg):
+        self.name, self.help, self.func, self.args = name, help, func, args
+        self.positionals = tuple(a for a in args if not a.name.startswith("-"))
+        self.options = {a.name: a for a in args if a.name.startswith("-")}
+        self.defaults = {"command": name, **{a.dest: a.default for a in args}}
+        self.required = frozenset(flag for flag, a in self.options.items() if a.required)
+        self.exclusive = frozenset(flag for flag, a in self.options.items() if a.exclusive)
+
+
+_PAIR_ARGS = (
+    _Arg("type", choices=tuple("ABCDEFG"), help="simple type letter"),
+    _Arg("rank", int, help="rank of the root system"),
+    _Arg("--node", int, help="node j with mark >= 2"),
+)
+_WEIGHT_ARGS = (
+    _Arg("--weight", help="subalgebra weight, e.g. 'h2=1,h0=1' (default 0)", exclusive=True),
+    _Arg("--delta-weight", help="ambient dominant weight, e.g. 'h1=0,h2=1,h3=0'; "
+                                "converted to subalgebra coordinates", exclusive=True),
+)
+_DEGREE = _Arg("--degree", int, 24, help="Hilbert truncation degree")
+_FORMAT = _Arg("--format", default="text", choices=("text", "json"))
+_SEED = _Arg("--seed", int, 0)
+
+COMMANDS = {c.name: c for c in (
+    _Command("pair", "structure constants of the pair (g, g0)", "cmd_pair",
+             *_PAIR_ARGS, _FORMAT),
+    _Command("alambda", "presentation, facets, Hilbert series, flags, criteria", "cmd_alambda",
+             *_PAIR_ARGS, *_WEIGHT_ARGS, _DEGREE, _FORMAT),
+    _Command("hilbert", "Hilbert series only", "cmd_hilbert",
+             *_PAIR_ARGS, *_WEIGHT_ARGS, _DEGREE, _FORMAT),
+    _Command("localdim", "local Weyl module dimension for (B_n, D_n)", "cmd_localdim",
+             *_PAIR_ARGS, _FORMAT,
+             _Arg("--fundamental", int, required=True,
+                  help="index i of the fundamental subalgebra weight (0..n-1)"),
+             _Arg("--power", int, 1, help="multiplicity r")),
+    _Command("idealpoint", "random evaluation-parameter point, verified", "cmd_idealpoint",
+             *_PAIR_ARGS, *_WEIGHT_ARGS, _FORMAT, _SEED,
+             _Arg("--points", int, 2, help="number of evaluation points")),
+    _Command("garland-check", "generating-series identities for P[alpha,r]", "cmd_garland_check",
+             *_PAIR_ARGS, _FORMAT, _Arg("--order", int, 3, help="truncation order N")),
+    _Command("verify-all", "run the whole invariant suite", "cmd_verify_all",
+             _Arg("--max-rank", int, 5), _SEED, _FORMAT),
+)}
+
+
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every `main`."""
+def build_parser():
+    """The argparse parser of `COMMANDS`, built on the first call and shared by
+    every `main` whose argv `_plain_args` does not take."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bdsweyl",
         description="Exact computations for Borel-de Siebenthal pairs, the "
                     "Stanley-Reisner presentation of global Weyl module endomorphism "
                     "algebras, and local Weyl module dimensions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_pair_args(p, weight=False, degree=False):
-        p.add_argument("type", choices=list("ABCDEFG"), help="simple type letter")
-        p.add_argument("rank", type=int, help="rank of the root system")
-        p.add_argument("--node", type=int, default=None, help="node j with mark >= 2")
-        if weight:
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--weight", default=None,
-                           help="subalgebra weight, e.g. 'h2=1,h0=1' (default 0)")
-            g.add_argument("--delta-weight", default=None,
-                           help="ambient dominant weight, e.g. 'h1=0,h2=1,h3=0'; "
-                                "converted to subalgebra coordinates")
-        if degree:
-            p.add_argument("--degree", type=int, default=24, help="Hilbert truncation degree")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("pair", help="structure constants of the pair (g, g0)")
-    add_pair_args(p)
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("alambda", help="presentation, facets, Hilbert series, flags, criteria")
-    add_pair_args(p, weight=True, degree=True)
-    p.set_defaults(func=cmd_alambda)
-
-    p = sub.add_parser("hilbert", help="Hilbert series only")
-    add_pair_args(p, weight=True, degree=True)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("localdim", help="local Weyl module dimension for (B_n, D_n)")
-    add_pair_args(p)
-    p.add_argument("--fundamental", type=int, required=True,
-                   help="index i of the fundamental subalgebra weight (0..n-1)")
-    p.add_argument("--power", type=int, default=1, help="multiplicity r")
-    p.set_defaults(func=cmd_localdim)
-
-    p = sub.add_parser("idealpoint", help="random evaluation-parameter point, verified")
-    add_pair_args(p, weight=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=2, help="number of evaluation points")
-    p.set_defaults(func=cmd_idealpoint)
-
-    p = sub.add_parser("garland-check", help="generating-series identities for P[alpha,r]")
-    add_pair_args(p)
-    p.add_argument("--order", type=int, default=3, help="truncation order N")
-    p.set_defaults(func=cmd_garland_check)
-
-    p = sub.add_parser("verify-all", help="run the whole invariant suite")
-    p.add_argument("--max-rank", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify_all)
-
+    for command in COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
+        group = None
+        for arg in command.args:
+            kwargs = {"type": arg.type, "default": arg.default, "choices": arg.choices,
+                      "help": arg.help}
+            if arg in command.positionals:
+                p.add_argument(arg.name, **kwargs)
+            elif arg.exclusive:
+                group = group or p.add_mutually_exclusive_group()
+                group.add_argument(arg.name, required=arg.required, **kwargs)
+            else:
+                p.add_argument(arg.name, required=arg.required, **kwargs)
+        p.set_defaults(func=globals()[command.func])
     return parser
 
 
+_NOT_PLAIN = object()
+
+
+def _plain_value(arg: _Arg, token: str):
+    """`token` read as `arg`, or `_NOT_PLAIN` for a token that starts with '-',
+    fails `int` or is not one of the choices."""
+    if token.startswith("-"):
+        return _NOT_PLAIN
+    if arg.type is not None:
+        try:
+            token = arg.type(token)
+        except ValueError:
+            return _NOT_PLAIN
+    if arg.choices is not None and token not in arg.choices:
+        return _NOT_PLAIN
+    return token
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for an argv in
+    the plain form; None for any other argv, which argparse then reads.
+
+    The plain form is an exact subcommand name, its positionals in order, then
+    `--flag value` pairs of its exact flags, each flag at most once.  No token
+    after the name starts with '-', every int reads by `int`, every choice is
+    one of its list, at most one flag of the exclusive group is given and every
+    required flag is.  So help, abbreviations, `--flag=value`, repeated flags,
+    negative values and every usage error are left to argparse.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    start = len(command.positionals) + 1
+    if len(argv) < start or (len(argv) - start) % 2:
+        return None
+    values = dict(command.defaults)
+    for arg, token in zip(command.positionals, argv[1:]):
+        value = values[arg.dest] = _plain_value(arg, token)
+        if value is _NOT_PLAIN:
+            return None
+    seen = set()
+    for k in range(start, len(argv), 2):
+        flag = argv[k]
+        arg = command.options.get(flag)
+        if arg is None or flag in seen:
+            return None
+        seen.add(flag)
+        value = values[arg.dest] = _plain_value(arg, argv[k + 1])
+        if value is _NOT_PLAIN:
+            return None
+    if not command.required <= seen or len(command.exclusive & seen) > 1:
+        return None
+    values["func"] = globals()[command.func]
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.func(args)
     except ValueError as exc:

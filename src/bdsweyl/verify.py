@@ -96,15 +96,21 @@ def check_pair_structure(pairs: list[BdsPair]) -> CheckResult:
             pair.theta_k(k)  # requires uniqueness and the dominance conditions
         # each delta in Delta_0 reflects v to v - <v, delta^vee> delta, with the
         # pairings of one g0_weight_values call: Cartan rows and the alpha_0 comark
-        # sum; a pairing of 0 leaves v fixed
+        # sum; a pairing of 0 leaves v fixed.  The simple root alpha_i changes the
+        # one coordinate i of v; alpha_0 (label 0) changes its whole support.
         closure = set(pair.delta0)
         queue = list(closure)
         while queue:
             v = queue.pop()
-            for c, d in zip(pair.g0_weight_values(v).values(), pair.delta0):
+            for label, c in pair.g0_weight_values(v).items():
                 if not c:
                     continue
-                w = tuple(x - c * y for x, y in zip(v, d))
+                if label:
+                    w = list(v)
+                    w[label - 1] -= c
+                    w = tuple(w)
+                else:
+                    w = tuple(x - c * y for x, y in zip(v, pair.alpha0))
                 if w not in closure:
                     closure.add(w)
                     queue.append(w)

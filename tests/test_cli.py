@@ -8,14 +8,16 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdsweyl
 from bdsweyl import garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import _dumps, _pair_payload, main
+from bdsweyl.cli import COMMANDS, _dumps, _pair_payload, _plain_args, build_parser, main
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
+from test_bench_goldens import workloads
+from test_golden import FRONTIER, GOLDEN
 
 
 def run(capsys, *argv):
@@ -406,6 +408,153 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# The argv vocabulary of the differential test: tokens each argument reads,
+# and odd ones: bad type letters, ints that `int` reads or refuses, a bad
+# choice, and flags, among them the spellings argparse reads but the plain form
+# leaves to it (abbreviation, `=`, help, `--`).
+INT_TOKENS = ["0", "1", "3", "4", "8", "+2", "1_0", "\u0663"]
+WEIGHT_TOKENS = ["h2=1,h0=1", "h2=1", ""]
+PLAIN_FLAGS = sorted({flag for command in COMMANDS.values() for flag in command.options})
+ODD_TOKENS = ["H", "AB", "-1", "\u00b2", "xml", *PLAIN_FLAGS,
+              "--deg", "--degree=12", "-h", "--help", "--"]
+VOCABULARY = [*"ABCDEFG", *INT_TOKENS, *WEIGHT_TOKENS, "text", "json", *ODD_TOKENS]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of a command's own form (a bogus name takes alambda's), with
+    flags repeated or not and about one token in ten drawn from the whole
+    vocabulary, then up to two tokens inserted or replaced."""
+    def token(arg):
+        own = arg.choices or (INT_TOKENS if arg.type is int else WEIGHT_TOKENS)
+        return draw(st.sampled_from(own if draw(st.integers(0, 9)) else VOCABULARY))
+
+    name = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    command = COMMANDS.get(name, COMMANDS["alambda"])
+    argv = [name] + [token(arg) for arg in command.positionals]
+    flags = st.sampled_from(sorted(command.options))
+    for flag in draw(st.lists(flags, max_size=5, unique=draw(st.booleans()))):
+        argv += [flag, token(command.options[flag])]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, len(argv)))
+        argv[k:k + draw(st.integers(0, 1))] = [draw(st.sampled_from(VOCABULARY))]
+    return argv
+
+
+def argparse_namespace(argv):
+    """vars() of what the argparse parser reads from argv, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# one argv for each rule of the plain form, each one that argparse reads otherwise
+@example(["alambda", "B", "3", "--weight", "-h"])
+@example(["hilbert", "B", "3", "--delta-weight", "--"])
+@example(["pair", "AB", "3"])
+@example(["pair", "B", "\u00b2"])
+@example(["localdim", "B", "3", "--node", "3"])
+@example(["idealpoint", "B", "3", "--weight", "h2=1", "--delta-weight", "h2=1"])
+@example(["garland-check", "B", "3", "--order"])
+@settings(max_examples=1000, deadline=None)
+@given(cli_argv())
+def test_plain_args_agree_with_argparse(argv):
+    args = _plain_args(argv)
+    if args is not None:
+        assert vars(args) == argparse_namespace(argv)
+
+
+def test_every_successful_corpus_argv_takes_the_plain_path():
+    argvs = [command.split() + tail for command, _ in GOLDEN + FRONTIER
+             for tail in ([], ["--format", "json"])]
+    argvs += [query.argv for workload in workloads.WORKLOADS for seed in range(5)
+              for query in workloads.generate(workload, seed) if query.expect == 0]
+    for argv in argvs:
+        args = _plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == argparse_namespace(argv)
+
+
+# Replays argv lists in one fresh process: the exit code, the SHA-256 of
+# stdout and stderr of each.
+REPLAY = """
+import contextlib, hashlib, io, json, sys
+from bdsweyl.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def replay(argvs):
+    # -S: no site hooks; COLUMNS fixes the width argparse wraps its help to
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-S", "-c", REPLAY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# SHA-256 of the `--help` stdout, as the parser printed it when it was built by
+# hand, one add_argument call after another, before the option table.
+HELP_DIGESTS = {
+    "": "f1a4013c96a2939ad2a2fb6cf50faca5afa59d074b9e67a30af1ba32866a839a",
+    "pair": "843bb1e9c989480c9e64cf6f2fc4c25b853f3624e6c3076c40aea4851795d38e",
+    "alambda": "74c51a8f1088e314c25e34f3080989147fff101e3150a721e47e68c0d702f6ba",
+    "hilbert": "328ea63f078d518f19947be2f458bf1ed3a1fd94b7f7f369a8f8179a1d526a27",
+    "localdim": "026b65838bcf35a27650ba250baeb3bdf7b1f7e8a3f8935905a2ca5170f3cec4",
+    "idealpoint": "09f7e4c32cabb3a6798c3096122db004ff3330ce2e5bfe59aff29a907915b3db",
+    "garland-check": "8e99849a844bdd3834e92683a65e9eb5b065b1b586d91cf23d3e56b88f33bf55",
+    "verify-all": "b8b4d3d26572352065fa9042c61557dc3b6ff64f3fc010135f3496d943de97f8",
+}
+
+
+def test_help_is_the_hand_built_parsers():
+    assert set(HELP_DIGESTS) - {""} == set(COMMANDS)
+    argvs = [[command, "--help"] if command else ["--help"] for command in HELP_DIGESTS]
+    assert replay(argvs) == [[0, digest, ""] for digest in HELP_DIGESTS.values()]
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# stderr of each refused argv, as the hand-built parser wrote it
+USAGE_ERRORS = [
+    (["pair", "H", "3", "--node", "1"],
+     "usage: bdsweyl pair [-h] [--node NODE] [--format {text,json}]\n"
+     "                    {A,B,C,D,E,F,G} rank\n"
+     "bdsweyl pair: error: argument type: invalid choice: 'H' "
+     "(choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')\n"),
+    (["alambda", "B", "3", "--node", "3", "--weight", "h2=1", "--delta-weight", "h2=1"],
+     "usage: bdsweyl alambda [-h] [--node NODE]\n"
+     "                       [--weight WEIGHT | --delta-weight DELTA_WEIGHT]\n"
+     "                       [--degree DEGREE] [--format {text,json}]\n"
+     "                       {A,B,C,D,E,F,G} rank\n"
+     "bdsweyl alambda: error: argument --delta-weight: not allowed with argument --weight\n"),
+    (["hilbert", "B", "3", "--node", "3", "--degree", "-1"],
+     "error: truncation degree must be >= 0\n"),
+    (["no-such-command"],
+     "usage: bdsweyl [-h]\n"
+     "               {pair,alambda,hilbert,localdim,idealpoint,garland-check,verify-all}\n"
+     "               ...\n"
+     "bdsweyl: error: argument command: invalid choice: 'no-such-command' (choose from "
+     "'pair', 'alambda', 'hilbert', 'localdim', 'idealpoint', 'garland-check', 'verify-all')\n"),
+]
+
+
+def test_usage_errors_are_the_hand_built_parsers():
+    assert replay([argv for argv, _ in USAGE_ERRORS]) == [
+        [2, EMPTY_SHA256, err] for _, err in USAGE_ERRORS]
 
 
 # Every value the JSON writer accepts; json.dumps with the CLI's settings is the oracle.

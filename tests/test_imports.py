@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, only the modules
-whose values can be non-integral import `fractions`, and none imports
-`dataclasses`."""
+whose values can be non-integral import `fractions`, none imports
+`dataclasses`, and the golden corpus runs without loading `argparse`."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bdsweyl
+from test_golden import GOLDEN
 
 MODULES = sorted(p for p in Path(bdsweyl.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -92,6 +94,28 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == []
+
+
+CORPUS_FOOTPRINT = """
+import contextlib, io, json, sys
+from bdsweyl.cli import main
+codes = []
+for command in json.loads(sys.argv[1]):
+    for tail in ([], ["--format", "json"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(command.split() + tail))
+print(json.dumps([codes, "argparse" in sys.modules]))
+"""
+
+
+def test_golden_corpus_never_loads_argparse():
+    # every golden argv is in the plain form, so no query builds the parser
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-S", "-c", CORPUS_FOOTPRINT,
+                           json.dumps([command for command, _ in GOLDEN])],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 2 * len(GOLDEN), False]
 
 
 def test_every_public_name_resolves_in_its_home_module():
