@@ -14,41 +14,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .rootsys import (ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact_quotient,
-                      format_root, require, weyl_product)
+from .rootsys import (RANKS, ROOT_COUNTS, Root, RootSystem, build, cartan_matrix, exact_quotient,
+                      format_root, frozen, require, weyl_product)
 
 
-class ReflectionChain:
-    """Chain (i_r, beta_r) with beta_0 = alpha_0, beta_{r+1} = s_{i_r}(beta_r).
-    Immutable; equal, hashed and printed by `entries`."""
+@frozen
+class ReflectionChain(NamedTuple):
+    """Chain (i_r, beta_r) with beta_0 = alpha_0, beta_{r+1} = s_{i_r}(beta_r);
+    its length is the number of entries."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, Root], ...]):
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(entries={self.entries!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return self.__class__, (self.entries,)
+    entries: tuple[tuple[int, Root], ...]
 
     @property
     def node_sequence(self) -> tuple[int, ...]:
@@ -329,11 +306,8 @@ def eligible_nodes(rs: RootSystem) -> tuple[int, ...]:
 def all_pairs(max_rank: int) -> list[BdsPair]:
     """Every pair over every simple type up to the given rank, in a fixed order."""
     out = []
-    for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("E", 6), ("F", 4), ("G", 2)):
-        hi = {"E": 8, "F": 4, "G": 2}.get(letter, max_rank)
+    for letter, (lo, hi) in RANKS.items():
         for n in range(lo, min(hi, max_rank) + 1):
-            if letter == "E" and n < 6:
-                continue
             rs = build(letter, n)
             for j in eligible_nodes(rs):
                 out.append(_pair(rs, j))

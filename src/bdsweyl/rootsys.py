@@ -32,6 +32,10 @@ WeylWord = Tuple[int, ...]
 
 CLASSICAL_MAX_RANK = 12
 
+# the lowest and highest admitted rank of each type letter, in the order of `all_pairs`
+RANKS = {"A": (1, CLASSICAL_MAX_RANK), "B": (2, CLASSICAL_MAX_RANK), "C": (2, CLASSICAL_MAX_RANK),
+         "D": (3, CLASSICAL_MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
 # closed-form |R| per type, used as a construction cross-check
 ROOT_COUNTS = {
     "A": lambda n: n * (n + 1),
@@ -73,12 +77,9 @@ def _edges(type_letter: str, n: int) -> list[tuple[int, int, int, int]]:
 
 def validate_type(type_letter: str, rank: int) -> None:
     """Reject invalid (type, rank) combinations."""
-    bounds = {"A": (1, CLASSICAL_MAX_RANK), "B": (2, CLASSICAL_MAX_RANK),
-              "C": (2, CLASSICAL_MAX_RANK), "D": (3, CLASSICAL_MAX_RANK),
-              "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-    if type_letter not in bounds:
+    if type_letter not in RANKS:
         raise ValueError(f"unknown type letter {type_letter!r}; expected one of A-G")
-    lo, hi = bounds[type_letter]
+    lo, hi = RANKS[type_letter]
     if not lo <= rank <= hi:
         raise ValueError(f"type {type_letter} requires rank in [{lo}, {hi}], got {rank}")
 
@@ -313,18 +314,36 @@ def require(ok: bool, message: str, *args) -> None:
         raise AssertionError(message.format(*args) if args else message)
 
 
-def record_eq(self, other):
-    """`==` of a frozen record kept as a `NamedTuple`: equal fields and the same
-    class, as a frozen dataclass compares.  A plain tuple, or a record of
-    another class, with the same values is unequal."""
-    if other.__class__ is self.__class__:
-        return tuple.__eq__(self, other)
-    return False if isinstance(other, tuple) else NotImplemented
+def frozen(cls):
+    """Give a `NamedTuple` class the semantics of `@dataclass(frozen=True)`.
 
+    The record equals only a record of its own class (never a plain tuple, nor
+    a record of another class with the same values) and hashes by its fields;
+    the tuple refuses assignment.  When the class defines `__post_init__`,
+    every construction runs it, `copy` and `pickle` included; it is read from
+    the class at call time, so it can be rebound there.  `_make` and
+    `_replace` are not part of a record's API."""
 
-def record_ne(self, other):
-    eq = record_eq(self, other)
-    return eq if eq is NotImplemented else not eq
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = __eq__(self, other)
+        return eq if eq is NotImplemented else not eq
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    if hasattr(cls, "__post_init__"):
+        make = cls.__new__
+
+        def __new__(cls, *args, **kwargs):
+            self = make(cls, *args, **kwargs)
+            self.__post_init__()
+            return self
+
+        cls.__new__ = staticmethod(__new__)
+    return cls
 
 
 @lru_cache(maxsize=None)
@@ -334,17 +353,14 @@ def build(type_letter: str, rank: int) -> RootSystem:
     return RootSystem(type_letter, rank)
 
 
+def format_terms(pairs: Sequence[tuple[int, str]]) -> str:
+    """Render (coefficient, name) pairs, each coefficient nonzero, as a signed sum
+    like '2a1-a3' or '1-t^2'; an empty name is the constant term, no pair is '0'."""
+    text = "".join([("-" if c < 0 else "+") + (name if abs(c) == 1 and name else f"{abs(c)}{name}")
+                    for c, name in pairs])
+    return text.removeprefix("+") or "0"
+
+
 def format_root(a: Sequence[int]) -> str:
     """Render a root-lattice vector like 'a2+2a3'."""
-    parts = []
-    for i, c in enumerate(a, start=1):
-        if c == 0:
-            continue
-        if c == 1:
-            term = f"a{i}"
-        elif c == -1:
-            term = f"-a{i}"
-        else:
-            term = f"{c}a{i}"
-        parts.append(term if not parts or term.startswith("-") else "+" + term)
-    return "".join(parts) if parts else "0"
+    return format_terms([(c, f"a{i}") for i, c in enumerate(a, start=1) if c])

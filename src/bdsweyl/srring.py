@@ -25,7 +25,7 @@ from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
-from .rootsys import record_eq, record_ne, require
+from .rootsys import format_terms, frozen, require
 
 # Largest accepted sum of the variable degrees, sum_i a_j * cap_i (cap_i + 1) / 2.
 # That sum is the degree of the Hilbert series denominator and bounds the
@@ -119,23 +119,12 @@ class SRVariable(NamedTuple):
         return f"P({self.node},{self.level})"
 
 
-class _ComplexFields(NamedTuple):
+@frozen
+class SimplicialComplex(NamedTuple):
+    """A finite simplicial complex given by its vertices and facet list."""
+
     vertices: tuple[SRVariable, ...]
     facets: tuple[frozenset, ...]
-
-
-class SimplicialComplex(_ComplexFields):
-    """A finite simplicial complex given by its vertices and facet list.
-    A `NamedTuple` equal only to a complex; made through `__post_init__`,
-    read from the class, so the facet check can be rebound there."""
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
-
-    def __new__(cls, vertices: tuple[SRVariable, ...], facets: tuple[frozenset, ...]):
-        self = super().__new__(cls, vertices, facets)
-        self.__post_init__()
-        return self
 
     def __post_init__(self):
         # Facet b contains a iff bit b is set in the mask of every vertex of a,
@@ -208,12 +197,12 @@ def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
     return extend([], facets)
 
 
+@frozen
 class ClosedForm(NamedTuple):
     """Rational form numerator / prod_d (1 - t^d), d over `denominator`."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def coefficients(self, D: int) -> tuple[int, ...]:
         out = list(self.numerator[:D + 1])
@@ -231,24 +220,13 @@ class ClosedForm(NamedTuple):
         return f"({num}) / {den}"
 
 
-class _SeriesFields(NamedTuple):
+@frozen
+class HilbertSeries(NamedTuple):
+    """Exact truncated Hilbert series, with a closed rational form when available."""
+
     truncation_degree: int
     coefficients: tuple[int, ...]
     closed_form: ClosedForm | None = None
-
-
-class HilbertSeries(_SeriesFields):
-    """Exact truncated Hilbert series, with a closed rational form when available.
-    A `NamedTuple` equal only to a series; made through `__post_init__`."""
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
-
-    def __new__(cls, truncation_degree: int, coefficients: tuple[int, ...],
-                closed_form: ClosedForm | None = None):
-        self = super().__new__(cls, truncation_degree, coefficients, closed_form)
-        self.__post_init__()
-        return self
 
     def __post_init__(self):
         coeffs = self.coefficients
@@ -767,23 +745,4 @@ def _cancel(num: Sequence[int], denom: Sequence[int]) -> tuple[list[int], list[i
 
 
 def _format_poly(coeffs: Sequence[int]) -> str:
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mono = "t" if k == 1 else f"t^{k}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}{mono}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    return format_terms([(c, f"t^{k}" if k > 1 else "t" if k else "") for k, c in enumerate(coeffs) if c])

@@ -14,15 +14,15 @@ from typing import NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, all_pairs, alpha0_by_scan, component_root_count
-from .rootsys import CLASSICAL_MAX_RANK, record_eq, record_ne
+from .rootsys import CLASSICAL_MAX_RANK, frozen
 from .srring import SimplicialComplex, Weight0, hilbert_series_bruteforce, presentation, verify_shelling
 
 
+@frozen
 class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -197,15 +197,12 @@ def check_hilbert_oracle(pairs: list[BdsPair], rng: random.Random, samples: int,
 
 def check_shellings(rng: random.Random, samples: int, pairs: list[BdsPair]) -> CheckResult:
     """The canonical shelling of B_n at node n, for each such pair with n >= 3."""
-    for pair in pairs:
-        n = pair.rs.rank
-        if pair.rs.type_letter != "B" or pair.j != n or n < 3:
-            continue
+    for pair in filter(weylcrit.is_bn_pair_at_node_n, pairs):
         for _ in range(samples):
             pres = presentation(pair, _random_weight(pair, rng))
             order = pres.canonical_shelling()
             if not verify_shelling(pres.facets(), order):
-                return CheckResult("shellings", False, f"B{n} lam={pres.lam.format()}")
+                return CheckResult("shellings", False, f"B{pair.rs.rank} lam={pres.lam.format()}")
     bad = SimplicialComplex((), (frozenset({1, 2, 3}), frozenset({3, 4, 5})))
     if verify_shelling(bad, list(bad.facets)):
         return CheckResult("shellings", False, "counterexample order accepted")

@@ -16,39 +16,16 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .bdspair import BdsPair
-from .rootsys import record_eq, record_ne, require
+from .rootsys import frozen, require
 from .srring import Weight0
 
 
-class DeltaWeight:
+@frozen
+class DeltaWeight(NamedTuple):
     """Weight given by its values on every h_i, i in I; the value at j may be negative.
-    Immutable; equal, hashed and printed by `values`."""
+    Indexed by node, from 1."""
 
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(values={self.values!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return self.__class__, (self.values,)
+    values: tuple[int, ...]
 
     @classmethod
     def of(cls, rank: int, vals: Mapping[int, int]) -> "DeltaWeight":
@@ -125,27 +102,27 @@ def is_global_weyl_irreducible(pair: BdsPair, lam: Weight0) -> bool:
 # -- evaluation parameters and ideal points -----------------------------------
 
 
+@frozen
 class EvalPoint(NamedTuple):
     """One evaluation point: the a_j-th power of the parameter and a dominant weight."""
 
     z_power: Fraction
     weight: DeltaWeight
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
+@frozen
 class EvalParams(NamedTuple):
     mu: Weight0
     points: tuple[EvalPoint, ...]
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
+@frozen
 class IdealPoint(NamedTuple):
     """Exact scalars pi[i][r] satisfying the presentation relations at weight lam."""
 
     lam: Weight0
     mu_h0: int
     pi: tuple[tuple[Fraction, ...], ...]  # coefficient list of pi_i(u), per node
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def pi_coeff(self, i: int, r: int) -> Fraction:
         row = self.pi[i - 1]
@@ -254,11 +231,15 @@ def displayed_sum_dim(n: int, i: int, r: int) -> int:
     return sum(comb(2 * n, s) for s in range(1, i + 1)) ** r
 
 
+def is_bn_pair_at_node_n(pair: BdsPair) -> bool:
+    """Whether the pair is (B_n, j = n) with n >= 3, the pair (B_n, D_n)."""
+    return pair.rs.type_letter == "B" and pair.j == pair.rs.rank >= 3
+
+
 def _check_bn_pair(pair: BdsPair) -> int:
-    n = pair.rs.rank
-    if pair.rs.type_letter != "B" or pair.j != n or n < 3:
+    if not is_bn_pair_at_node_n(pair):
         raise ValueError(f"local dimensions implemented for (B_n, j=n), n >= 3; got {pair!r}")
-    return n
+    return pair.rs.rank
 
 
 def local_weyl_dim_bn(pair: BdsPair, i: int, r: int) -> int:
@@ -296,6 +277,7 @@ def spin_module_dim(pair: BdsPair, r: int) -> int:
     return pair.g0_weyl_dim({n - 1: r})
 
 
+@frozen
 class LocalDimReport(NamedTuple):
     """Both closed forms for a local Weyl dimension, with the mismatch surfaced."""
 
@@ -305,7 +287,6 @@ class LocalDimReport(NamedTuple):
     displayed_value: int | None
     mismatch: bool
     spin_value: int | None
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
     def lines(self) -> list[str]:
         out = [f"dim W_loc({self.multiplicity} * lambda_{self.node}) = {self.value}"]
@@ -330,6 +311,7 @@ def local_weyl_dim_report(pair: BdsPair, i: int, r: int) -> LocalDimReport:
 # -- recorded constants ---------------------------------------------------------
 
 
+@frozen
 class RecordedConstant(NamedTuple):
     pair_name: str
     weight: str
@@ -337,7 +319,6 @@ class RecordedConstant(NamedTuple):
     dim: int
     computed: bool
     note: str
-    __eq__, __ne__, __hash__ = record_eq, record_ne, tuple.__hash__
 
 
 _RECORDED = (

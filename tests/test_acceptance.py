@@ -18,7 +18,7 @@ from bdsweyl.srring import (
     presentation,
     verify_shelling,
 )
-from bdsweyl.verify import distinct_fractions
+from bdsweyl.verify import _random_weight, distinct_fractions
 from bdsweyl.weylcrit import (
     DeltaWeight,
     EvalParams,
@@ -38,10 +38,6 @@ ORACLE_PAIRS = [("B", 3, 3), ("B", 4, 4), ("C", 3, 1), ("G", 2, 1), ("G", 2, 2),
 
 def _pairs():
     return [build_pair(t, j, rank=n) for t, n, j in ORACLE_PAIRS]
-
-
-def _random_weight(pair, rng, bound=3):
-    return Weight0({k: rng.randrange(0, bound + 1) for k in pair.delta0_labels})
 
 
 def _report(num, text):

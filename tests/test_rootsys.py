@@ -1,11 +1,18 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bdsweyl
 from bdsweyl.rootsys import (CLASSICAL_MAX_RANK, ROOT_COUNTS, RootSystem, build, cartan_matrix,
                               format_root, validate_type)
+from bdsweyl.srring import _format_poly
+from test_records import FIELDS
 
 ALL_TYPES = [("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
              ("D", range(3, 9)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]
@@ -216,3 +223,74 @@ def test_format_root():
     assert format_root((0, 1, 2)) == "a2+2a3"
     assert format_root((0, 0, 0)) == "0"
     assert format_root((-1, 1, 0)) == "-a1+a2"
+
+
+def format_root_by_terms(a):
+    """Oracle: a root-lattice vector rendered one term at a time."""
+    parts = []
+    for i, c in enumerate(a, start=1):
+        if c == 0:
+            continue
+        if c == 1:
+            term = f"a{i}"
+        elif c == -1:
+            term = f"-a{i}"
+        else:
+            term = f"{c}a{i}"
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts) if parts else "0"
+
+
+def format_poly_by_terms(coeffs):
+    """Oracle: a polynomial in t rendered one term at a time."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mono = "t" if k == 1 else f"t^{k}"
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from([-2, -1, 0, 1, 2]) | st.integers(-10**30, 10**30), max_size=14))
+def test_format_terms_matches_the_term_by_term_oracles(coeffs):
+    # both renderers go through rootsys.format_terms; +-1 drop their digit
+    # except as the constant term of a polynomial
+    assert format_root(coeffs) == format_root_by_terms(coeffs)
+    assert _format_poly(coeffs) == format_poly_by_terms(coeffs)
+
+
+# the tuple classes of the package that are not records: they equal a plain tuple
+PLAIN_TUPLES = {"srring.SRVariable", "cli._Arg", "cli._RowStyle"}
+
+
+def test_every_tuple_class_is_a_frozen_record_or_a_listed_plain_tuple():
+    # a new record left without @frozen would silently equal a plain tuple
+    found = {}
+    for info in pkgutil.iter_modules(bdsweyl.__path__):
+        module = importlib.import_module(f"bdsweyl.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == module.__name__:
+                found[f"{info.name}.{cls.__qualname__}"] = cls
+    records = {f"{cls.__module__.removeprefix('bdsweyl.')}.{cls.__qualname__}" for cls in FIELDS}
+    assert len(records) == 11 and set(found) == records | PLAIN_TUPLES
+    for name, cls in found.items():
+        if name in records:
+            assert cls.__eq__.__qualname__ == "frozen.<locals>.__eq__", name
+            assert cls.__hash__ is tuple.__hash__, name
+        else:
+            assert cls.__eq__ is tuple.__eq__, name
