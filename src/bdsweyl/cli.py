@@ -2,11 +2,20 @@
 
 Subcommands: pair, alambda, hilbert, localdim, idealpoint, garland-check,
 verify-all.  Output is deterministic text or JSON (schema documented in
-docs/json-schema-v1.md; rationals are rendered as exact 'p/q' strings), the
-JSON written by `_dumps`.  The arguments of every subcommand are declared
-once, in `COMMANDS`: `_plain_args` reads an argv in the plain form from it,
-and any other argv goes to the argparse parser `build_parser` makes from it.
+docs/json-schema-v1.md; rationals are rendered as exact 'p/q' strings).  The
+arguments of every subcommand are declared once, in `COMMANDS`: `_plain_args`
+reads an argv in the plain form from it, and any other argv goes to the
+argparse parser `build_parser` makes from it.
 Exit codes: 0 success, 1 property failure, 2 usage error.
+
+`main` writes to stdout only once the answer is computed: every flag, the
+Hilbert series, and for alambda the facet and generator tuples with their
+checks.  So an exit of 1 or 2 leaves stdout empty.  The JSON is then written
+by `_write_json` and the text report a line at a time.  While an alambda
+answer is written, memory holds its payload without the facet and generator
+lists, plus the presentation's level tuples and per-node string tables: each
+row of those lists is made as it is written, in writes of about `_CHUNK`
+characters.
 """
 
 from __future__ import annotations
@@ -31,22 +40,16 @@ from .verify import draw_eval_params, run_all
 SCHEMA_VERSION = 1
 
 
-class _Json(str):
-    """A JSON fragment already rendered at its depth; `_dumps` writes it as is."""
-
-
-def _dumps(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)` for the payload types only.
+def _render(obj, pad: str) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for the payload types only,
+    as the text of obj at a place that closes with `pad`.
 
     Dicts with str keys, lists and tuples, str (escaped to ASCII by json's own
-    encoder), exact int, True, False and None; anything else, a float or a
-    non-str key included, raises TypeError (a key, from that encoder).  A
-    `_Json` fragment is written as is: it must already be the text that
-    json.dumps would give at its place.  `pad` is the newline and indent that
-    close obj; each item of a container goes one level deeper.  A list of
-    exact ints is written with one join.  The f-strings build each container
-    in one allocation, where a chain of `+` would copy a 10 MB facet list at
-    every `+`.
+    encoder), exact int, True, False and None; anything else, a float, a
+    non-str key or a `_Rows` included, raises TypeError (a key, from that
+    encoder).  `pad` is the newline and indent that close obj; each item of a
+    container goes one level deeper.  A list of exact ints is written with one
+    join.  The f-strings build each container in one allocation.
     """
     t = type(obj)
     if t is list or t is tuple:
@@ -54,13 +57,11 @@ def _dumps(obj, pad: str = "\n") -> str:
             return "[]"
         inner = pad + "  "
         if [x for x in obj if type(x) is not int]:
-            body = [_dumps(x, inner) for x in obj]
+            body = [_render(x, inner) for x in obj]
         else:
             body = map(int.__repr__, obj)
         sep = "," + inner
         return f"[{inner}{sep.join(body)}{pad}]"
-    if t is _Json:
-        return obj
     if t is str:
         return encode_basestring_ascii(obj)
     if t is int:
@@ -69,7 +70,7 @@ def _dumps(obj, pad: str = "\n") -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        body = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        body = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in sorted(obj.items())]
         sep = "," + inner
         return f"{{{inner}{sep.join(body)}{pad}}}"
     if obj is None:
@@ -79,6 +80,48 @@ def _dumps(obj, pad: str = "\n") -> str:
     if obj is False:
         return "false"
     raise TypeError(f"{t.__name__} is not written as JSON")
+
+
+# Characters of row text gathered before a `write`.
+_CHUNK = 1 << 16
+
+
+def _write_json(obj, write: Callable[[str], object]) -> None:
+    """Write `json.dumps(obj, sort_keys=True, indent=2)` through `write`.
+
+    A nonempty dict is written key by key, a `_Rows` value (a facet or
+    generator list of the alambda payload) as the list of its rows, in writes
+    of about `_CHUNK` characters: no row list and no whole document is ever
+    held.  Every key and every other value is rendered before the first
+    write, so a TypeError leaves nothing written, and a dict without `_Rows`
+    takes one write.  Any other obj is rendered by `_render` and written in
+    one call.
+    """
+    if type(obj) is not dict or not obj:
+        write(_render(obj, "\n"))
+        return
+    items = [(encode_basestring_ascii(k), v if type(v) is _Rows else _render(v, "\n  "))
+             for k, v in sorted(obj.items())]
+    text, size = [], 0  # pieces not yet written, and the length of their rows
+    lead = "{"
+    for key, value in items:
+        text.append(f"{lead}\n  {key}: ")
+        lead = ","
+        if type(value) is str:
+            text.append(value)
+            continue
+        sep = "[" + _ROW_PAD
+        for row in value:
+            text += (sep, row)
+            sep = "," + _ROW_PAD
+            size += len(row)
+            if size >= _CHUNK:
+                write("".join(text))
+                text.clear()
+                size = 0
+        text.append("\n  ]" if value.keys else "[]")
+    text.append("\n}")
+    write("".join(text))
 
 
 def _resolve_pair(args) -> BdsPair:
@@ -166,10 +209,35 @@ class _RowStyle(NamedTuple):
 # values: each row closes at _ROW_PAD, and each [node, level] in it at _ITEM_PAD.
 _ROW_PAD = "\n    "
 _ITEM_PAD = _ROW_PAD + "  "
-_JSON_ROW = _RowStyle(lambda v: _dumps([v.node, v.level], _ITEM_PAD), "," + _ITEM_PAD,
+_JSON_ROW = _RowStyle(lambda v: _render([v.node, v.level], _ITEM_PAD), "," + _ITEM_PAD,
                       "[" + _ITEM_PAD, _ROW_PAD + "]", "[]")
 # A facet of the text report.
 _TEXT_ROW = _RowStyle(SRVariable.label, ", ", "{", "}", "{}")
+
+
+class _Rows:
+    """A list of rows, each rendered when an iteration reaches it.
+
+    The row of key tuple t joins the nonempty entries `tables[k][t[k]]` and
+    then `tail`, in the brackets of `style`.  The tables are per-node string
+    tables and the keys the presentation's own tuples, so a `_Rows` holds no
+    row text: `_write_json` writes each row as it is made.
+    """
+
+    __slots__ = ("tables", "keys", "tail", "style")
+
+    def __init__(self, tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
+                 style: _RowStyle):
+        self.tables, self.keys, self.tail, self.style = tables, keys, tail, style
+
+    def __iter__(self):
+        _, sep, open_, close, empty = self.style
+        tables, tail = self.tables, self.tail
+        for key in self.keys:
+            parts = [p for p in map(getitem, tables, key) if p]
+            if tail:
+                parts.append(tail)
+            yield open_ + sep.join(parts) + close if parts else empty
 
 
 def _prefix_table(items: list[str], sep: str) -> list[str]:
@@ -177,7 +245,7 @@ def _prefix_table(items: list[str], sep: str) -> list[str]:
     return ["", *accumulate(items, lambda prefix, item: prefix + sep + item)]
 
 
-def _facet_rows(pres: SRPresentation, style: _RowStyle) -> list[str]:
+def _facet_rows(pres: SRPresentation, style: _RowStyle) -> _Rows:
     """The row of each facet, read from its top-level tuple in `pres._tops`,
     in that order (no frozenset is built).
 
@@ -185,7 +253,8 @@ def _facet_rows(pres: SRPresentation, style: _RowStyle) -> list[str]:
     plus every variable of each free node.  So a row joins one prefix per
     node, in node order, from per-node prefix tables.  The prefix of a free
     node is fixed: it is joined into each prefix of the next constrained node,
-    or, after the last one, into the row's tail.
+    or, after the last one, into the row's tail.  `_tops`, with its checks,
+    is read here, before any row is made.
     """
     sep = style.sep
     free, constrained = set(pres.free_nodes), set(pres.constrained_nodes)
@@ -199,28 +268,14 @@ def _facet_rows(pres: SRPresentation, style: _RowStyle) -> list[str]:
             else:
                 tables.append([sep.join(fixed + [p]) if p else sep.join(fixed) for p in prefixes])
                 fixed = []
-    tail = sep.join(fixed)
-    rows = []
-    for tops in pres._tops:
-        parts = [p for p in map(getitem, tables, tops) if p]
-        if tail:
-            parts.append(tail)
-        rows.append(style.open + sep.join(parts) + style.close if parts else style.empty)
-    return rows
+    return _Rows(tables, pres._tops, sep.join(fixed), style)
 
 
-def _generator_rows(pres: SRPresentation) -> list[str]:
+def _generator_rows(pres: SRPresentation) -> _Rows:
     """The JSON row of each generator of `pres.generators`, in its order: one
     variable at each node of nonzero level, from per-node item tables."""
-    item, sep, open_, close, _ = _JSON_ROW
-    tables = [[""] + [item(v) for v in pres._by_node[i]] for i in pres.constrained_nodes]
-    return [open_ + sep.join([p for p in map(getitem, tables, levels) if p]) + close
-            for levels in pres._generator_levels]
-
-
-def _json_list(rows: list[str]) -> _Json:
-    """The list of rows as the value of a top-level payload key."""
-    return _Json(f"[{_ROW_PAD}{(',' + _ROW_PAD).join(rows)}\n  ]") if rows else _Json("[]")
+    tables = [[""] + [_JSON_ROW.item(v) for v in pres._by_node[i]] for i in pres.constrained_nodes]
+    return _Rows(tables, pres._generator_levels, "", _JSON_ROW)
 
 
 def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
@@ -249,10 +304,10 @@ def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
 
 
 def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload, its facet and generator lists as `_Json` fragments."""
+    """The alambda payload, its facet and generator lists as `_Rows`."""
     out = _presentation_summary(pres, degree)
-    out["facets"] = _json_list(_facet_rows(pres, _JSON_ROW))
-    out["generators"] = _json_list(_generator_rows(pres))
+    out["facets"] = _facet_rows(pres, _JSON_ROW)
+    out["generators"] = _generator_rows(pres)
     return out
 
 
@@ -539,11 +594,16 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        text = [_dumps(payload)]
+    write = sys.stdout.write
     try:
-        print("\n".join(text))
+        if args.format == "json":
+            _write_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload},
+                        write)
+            write("\n")
+        else:
+            for line in text:
+                write(line)
+                write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: send the flush at interpreter exit to devnull

@@ -15,9 +15,10 @@ from bdsweyl.bdspair import (
     component_root_count,
     eligible_nodes,
 )
-from bdsweyl.cli import _dumps, _pair_payload, _presentation_payload, main
+from bdsweyl.cli import _pair_payload, _presentation_payload, main
 from bdsweyl.rootsys import RootSystem, build
 from bdsweyl.srring import Weight0, presentation
+from test_cli import dumps
 
 
 def b3_pair():
@@ -71,7 +72,7 @@ def test_build_pair_is_one_object_per_value():
 
 def _pair_and_alambda_json(pair):
     lam = Weight0({k: 1 for k in pair.i_complement} | {0: 2})
-    return _dumps({"pair": _pair_payload(pair), **_presentation_payload(presentation(pair, lam), 12)})
+    return dumps({"pair": _pair_payload(pair), **_presentation_payload(presentation(pair, lam), 12)})
 
 
 def test_cached_pairs_answer_as_fresh_ones():

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,17 @@ from hypothesis import strategies as st
 import bdsweyl
 from bdsweyl import garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import COMMANDS, _dumps, _pair_payload, _plain_args, build_parser, main
+from bdsweyl.cli import COMMANDS, _pair_payload, _plain_args, _write_json, build_parser, main
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
-from test_bench_goldens import workloads
-from test_golden import FRONTIER, GOLDEN
+from test_bench_goldens import GOLDENS, workloads
+from test_golden import D12_ALAMBDA, FRONTIER, GOLDEN
+
+
+def dumps(obj) -> str:
+    """What `_write_json` writes for obj, as one string."""
+    parts = []
+    _write_json(obj, parts.append)
+    return "".join(parts)
 
 
 def run(capsys, *argv):
@@ -198,6 +207,72 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+    # the reader goes away in the middle of the 12.9 MB D12 facet list
+    proc = subprocess.Popen([sys.executable, "-m", "bdsweyl.cli", *D12_ALAMBDA.split(),
+                             "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(1 << 16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert len(head) == 1 << 16 and head.startswith(b'{\n  "caps": {')
+
+
+class HashSink:
+    """A stdout that keeps only the SHA-256 and the length of what is written."""
+
+    def __init__(self):
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def write(self, s):
+        self.sha.update(s.encode())
+        self.size += len(s)
+
+    def flush(self):
+        pass
+
+
+def test_alambda_json_is_written_without_a_copy_of_the_answer():
+    # the first sr-facets query of the benchmark's seed-0 stream: 2.4 MB of
+    # JSON, written a row at a time, never as one string
+    query = workloads.generate("sr-facets", 0)[0]
+    with contextlib.redirect_stdout(HashSink()):
+        main(query.argv)  # builds D12 and the pair
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(query.argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, 2410752)
+    assert sink.sha.hexdigest() == GOLDENS["workloads"]["sr-facets"][0]
+    assert peak < 1.5 * 2**20
+
+
+# Runs one query and reports the peak resident set size of its process, in
+# KiB.  Linux keeps the peak of the address space an exec replaces, so the
+# query runs in a child of a small launcher, not of this process.
+MAXRSS = """
+import resource, sys
+from bdsweyl.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+
+
+def test_d12_frontier_json_stays_small_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(bdsweyl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, "-c", MAXRSS, *D12_ALAMBDA.split(),
+                           "--format", "json"], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == dict(FRONTIER)[D12_ALAMBDA]
+    assert int(proc.stderr) < 40 * 1024
 
 
 def run_optimized(code):
@@ -260,6 +335,20 @@ def test_facet_tuple_count_failure_survives_optimized_mode():
                          " '--weight', 'h1=1,h4=2,h5=2,h6=3,h0=4']))\n")
     assert proc.returncode == 1
     assert "property failure: facets: the walk listed 10 tuples, the count is 11" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_facet_check_failure_in_alambda_json_survives_optimized_mode():
+    # the first top-level tuple lowered: _check_tops fails before any byte is written
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "check = srring.SRPresentation._check_tops\n"
+                         "srring.SRPresentation._check_tops = "
+                         "lambda self, tops: check(self, [(1, 0, 0, 0)] + tops[1:])\n"
+                         "sys.exit(cli.main(['alambda', 'B', '7', '--node', '3',"
+                         " '--weight', 'h1=1,h4=2,h5=2,h6=3,h0=4', '--format', 'json']))\n")
+    assert proc.returncode == 1
+    assert "property failure: facets: top levels (1, 0, 0, 0) are not maximal" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -568,14 +657,14 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_dumps_matches_json_dumps(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, {1: "a"}, [0, 2.0], {"k": {True: 1}}, [1, object()]],
                          ids=["float", "int_key", "float_in_int_list", "bool_key", "object"])
 def test_dumps_rejects_what_the_payloads_never_hold(value):
     with pytest.raises(TypeError):
-        _dumps(value)
+        dumps(value)
 
 
 def test_cli_does_not_import_json():

@@ -31,6 +31,7 @@ from bdsweyl.srring import (
     _trim,
     _vertex_masks,
 )
+from test_cli import dumps
 
 B3 = build_pair("B", 3, rank=3)
 EXAMPLE_578 = Weight0({2: 1, 0: 1})  # lam(h_2) = lam(h_0) = 1
@@ -489,7 +490,8 @@ def test_facets_come_in_sorted_order(data):
     assert facets == facets_by_sorting(pres)
     # the payload rows, read back from their JSON, against the rows once sorted twice over
     old_rows = sorted(sorted([v.node, v.level] for v in f) for f in facets)
-    assert json.loads(_presentation_payload(pres, 0)["facets"]) == old_rows
+    rows = _presentation_payload(pres, 0)["facets"]
+    assert json.loads(dumps({"facets": rows}))["facets"] == old_rows
     # every facet and generator holds the presentation's own variable objects
     own = {id(v) for v in pres.variables}
     assert all(id(v) in own for f in facets + pres.generators for v in f)
