@@ -23,7 +23,7 @@ from .rootsys import (RANKS, ROOT_COUNTS, Root, RootSystem, build, cartan_matrix
 @frozen
 class ReflectionChain(NamedTuple):
     """Chain (i_r, beta_r) with beta_0 = alpha_0, beta_{r+1} = s_{i_r}(beta_r);
-    its length is the number of entries."""
+    its length is `len(chain.entries)`."""
 
     entries: tuple[tuple[int, Root], ...]
 
@@ -36,9 +36,6 @@ class ReflectionChain(NamedTuple):
         for i in self.node_sequence:
             counts[i] = counts.get(i, 0) + 1
         return counts
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class BdsPair:

@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import getitem
-from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from types import GeneratorType, SimpleNamespace
+from typing import Callable, Iterator, NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
@@ -46,7 +46,7 @@ def _render(obj, pad: str) -> str:
 
     Dicts with str keys, lists and tuples, str (escaped to ASCII by json's own
     encoder), exact int, True, False and None; anything else, a float, a
-    non-str key or a `_Rows` included, raises TypeError (a key, from that
+    non-str key or a generator included, raises TypeError (a key, from that
     encoder).  `pad` is the newline and indent that close obj; each item of a
     container goes one level deeper.  A list of exact ints is written with one
     join.  The f-strings build each container in one allocation.
@@ -89,18 +89,18 @@ _CHUNK = 1 << 16
 def _write_json(obj, write: Callable[[str], object]) -> None:
     """Write `json.dumps(obj, sort_keys=True, indent=2)` through `write`.
 
-    A nonempty dict is written key by key, a `_Rows` value (a facet or
-    generator list of the alambda payload) as the list of its rows, in writes
-    of about `_CHUNK` characters: no row list and no whole document is ever
-    held.  Every key and every other value is rendered before the first
-    write, so a TypeError leaves nothing written, and a dict without `_Rows`
-    takes one write.  Any other obj is rendered by `_render` and written in
-    one call.
+    A nonempty dict is written key by key, a generator value (the facet or
+    generator rows of the alambda payload) as the list of the strings it
+    yields, in writes of about `_CHUNK` characters: no row list and no whole
+    document is ever held.  Every key and every other value is rendered
+    before the first write, so a TypeError leaves nothing written, and a dict
+    without a generator takes one write.  Any other obj is rendered by
+    `_render` and written in one call.
     """
     if type(obj) is not dict or not obj:
         write(_render(obj, "\n"))
         return
-    items = [(encode_basestring_ascii(k), v if type(v) is _Rows else _render(v, "\n  "))
+    items = [(encode_basestring_ascii(k), v if type(v) is GeneratorType else _render(v, "\n  "))
              for k, v in sorted(obj.items())]
     text, size = [], 0  # pieces not yet written, and the length of their rows
     lead = "{"
@@ -110,7 +110,7 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
         if type(value) is str:
             text.append(value)
             continue
-        sep = "[" + _ROW_PAD
+        sep = first = "[" + _ROW_PAD
         for row in value:
             text += (sep, row)
             sep = "," + _ROW_PAD
@@ -119,7 +119,7 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
                 write("".join(text))
                 text.clear()
                 size = 0
-        text.append("\n  ]" if value.keys else "[]")
+        text.append("[]" if sep is first else "\n  ]")
     text.append("\n}")
     write("".join(text))
 
@@ -215,29 +215,21 @@ _JSON_ROW = _RowStyle(lambda v: _render([v.node, v.level], _ITEM_PAD), "," + _IT
 _TEXT_ROW = _RowStyle(SRVariable.label, ", ", "{", "}", "{}")
 
 
-class _Rows:
-    """A list of rows, each rendered when an iteration reaches it.
+def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
+          style: _RowStyle) -> Iterator[str]:
+    """The rows, each rendered when the iteration reaches it.
 
     The row of key tuple t joins the nonempty entries `tables[k][t[k]]` and
     then `tail`, in the brackets of `style`.  The tables are per-node string
-    tables and the keys the presentation's own tuples, so a `_Rows` holds no
-    row text: `_write_json` writes each row as it is made.
+    tables and the keys the presentation's own tuples, so no row text is held:
+    `_write_json` writes each row as it is made.
     """
-
-    __slots__ = ("tables", "keys", "tail", "style")
-
-    def __init__(self, tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
-                 style: _RowStyle):
-        self.tables, self.keys, self.tail, self.style = tables, keys, tail, style
-
-    def __iter__(self):
-        _, sep, open_, close, empty = self.style
-        tables, tail = self.tables, self.tail
-        for key in self.keys:
-            parts = [p for p in map(getitem, tables, key) if p]
-            if tail:
-                parts.append(tail)
-            yield open_ + sep.join(parts) + close if parts else empty
+    _, sep, open_, close, empty = style
+    for key in keys:
+        parts = [p for p in map(getitem, tables, key) if p]
+        if tail:
+            parts.append(tail)
+        yield open_ + sep.join(parts) + close if parts else empty
 
 
 def _prefix_table(items: list[str], sep: str) -> list[str]:
@@ -245,7 +237,7 @@ def _prefix_table(items: list[str], sep: str) -> list[str]:
     return ["", *accumulate(items, lambda prefix, item: prefix + sep + item)]
 
 
-def _facet_rows(pres: SRPresentation, style: _RowStyle) -> _Rows:
+def _facet_rows(pres: SRPresentation, style: _RowStyle) -> Iterator[str]:
     """The row of each facet, read from its top-level tuple in `pres._tops`,
     in that order (no frozenset is built).
 
@@ -268,14 +260,14 @@ def _facet_rows(pres: SRPresentation, style: _RowStyle) -> _Rows:
             else:
                 tables.append([sep.join(fixed + [p]) if p else sep.join(fixed) for p in prefixes])
                 fixed = []
-    return _Rows(tables, pres._tops, sep.join(fixed), style)
+    return _rows(tables, pres._tops, sep.join(fixed), style)
 
 
-def _generator_rows(pres: SRPresentation) -> _Rows:
+def _generator_rows(pres: SRPresentation) -> Iterator[str]:
     """The JSON row of each generator of `pres.generators`, in its order: one
     variable at each node of nonzero level, from per-node item tables."""
     tables = [[""] + [_JSON_ROW.item(v) for v in pres._by_node[i]] for i in pres.constrained_nodes]
-    return _Rows(tables, pres._generator_levels, "", _JSON_ROW)
+    return _rows(tables, pres._generator_levels, "", _JSON_ROW)
 
 
 def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
@@ -304,7 +296,7 @@ def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
 
 
 def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload, its facet and generator lists as `_Rows`."""
+    """The alambda payload, its facet and generator lists as row generators."""
     out = _presentation_summary(pres, degree)
     out["facets"] = _facet_rows(pres, _JSON_ROW)
     out["generators"] = _generator_rows(pres)

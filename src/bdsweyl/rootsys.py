@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Root = Tuple[int, ...]
 WeylWord = Tuple[int, ...]
@@ -261,28 +261,6 @@ class RootSystem:
             word.append(i)
             mu = self.reflect_weight(i, mu)
         return tuple(word)
-
-    # -- representation dimensions ----------------------------------------
-
-    def weyl_dim(self, lam: Mapping[int, int] | Sequence[int]) -> int:
-        """Dimension of the irreducible module with dominant highest weight lam.
-
-        lam gives the values lam(h_i); a mapping may omit zero entries.
-        """
-        vals = self._weight_values(lam)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"weight {vals} is not dominant")
-        return weyl_product((self.coroot_coordinates(a) for a in self.positive_roots), vals)
-
-    def _weight_values(self, lam: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
-        if isinstance(lam, Mapping):
-            bad = [i for i in lam if i not in self.nodes]
-            if bad:
-                raise ValueError(f"weight keys {bad} out of range 1..{self.rank}")
-            return tuple(int(lam.get(i, 0)) for i in self.nodes)
-        if len(lam) != self.rank:
-            raise ValueError(f"weight has {len(lam)} entries, expected {self.rank}")
-        return tuple(int(v) for v in lam)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_letter}{self.rank}, {len(self.roots)} roots)"

@@ -97,9 +97,6 @@ class Weight0(Mapping[int, int]):
     def __hash__(self) -> int:
         return hash(frozenset(self._values.items()))
 
-    def is_zero(self) -> bool:
-        return not self._values
-
     def format(self) -> str:
         items = sorted(self._values.items(), key=lambda kv: (kv[0] == 0, kv[0]))
         return ",".join(f"h{k}={v}" for k, v in items) or "0"
@@ -131,31 +128,14 @@ class SimplicialComplex(NamedTuple):
         # so a is maximal iff that AND leaves only its own bit.  Facets are
         # told apart by identity: the same object listed twice is one facet.
         facets = list({id(f): f for f in self.facets}.values())
-        masks = _vertex_masks(facets)
+        masks: dict = {}
+        for bit, f in enumerate(facets):
+            for v in f:
+                masks[v] = masks.get(v, 0) | 1 << bit
         everything = (1 << len(facets)) - 1
         for bit, a in enumerate(facets):
             if reduce(and_, map(masks.__getitem__, a), everything) != 1 << bit:
                 raise ValueError("facet list contains a non-maximal face")
-
-    @property
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) <= 1
-
-
-def _vertex_masks(facets: Sequence[frozenset]) -> dict:
-    """The mask of each vertex: bit b set iff facets[b] contains it.  The bits
-    are set in one little-endian bytearray per vertex, turned into an int once."""
-    size = (len(facets) + 7) >> 3
-    rows: dict = {}
-    for bit, f in enumerate(facets):
-        byte, b = bit >> 3, 1 << (bit & 7)
-        for v in f:
-            row = rows.get(v)
-            if row is None:
-                row = rows[v] = bytearray(size)
-            row[byte] |= b
-    return {v: int.from_bytes(row, "little") for v, row in rows.items()}
 
 
 def _attaches(earlier: Iterable[frozenset], cand: frozenset) -> bool:

@@ -124,10 +124,6 @@ class IdealPoint(NamedTuple):
     mu_h0: int
     pi: tuple[tuple[Fraction, ...], ...]  # coefficient list of pi_i(u), per node
 
-    def pi_coeff(self, i: int, r: int) -> Fraction:
-        row = self.pi[i - 1]
-        return row[r] if r < len(row) else Fraction(0)
-
     def degree(self, i: int) -> int:
         return len(self.pi[i - 1]) - 1
 

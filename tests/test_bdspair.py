@@ -226,7 +226,7 @@ def test_reflection_chain_counts_match_comarks():
             counts = chain.node_counts()
             for i in rs.nodes:
                 assert counts.get(i, 0) == pair.comarks_alpha0[i - 1]
-            assert len(chain) == sum(pair.comarks_alpha0)
+            assert len(chain.entries) == sum(pair.comarks_alpha0)
             assert chain.entries[0] == (pair.j, pair.alpha0)
             # chain invariants: positivity and the step conditions
             for r, (i, beta) in enumerate(chain.entries):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import bdsweyl
 from bdsweyl import garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import COMMANDS, _pair_payload, _plain_args, _write_json, build_parser, main
+from bdsweyl.cli import (_CHUNK, _ROW_PAD, COMMANDS, _pair_payload, _plain_args, _render, _write_json,
+                         build_parser, main)
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
 from test_bench_goldens import GOLDENS, workloads
 from test_golden import D12_ALAMBDA, FRONTIER, GOLDEN
@@ -658,6 +659,19 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# The rows of a row generator, and the writes they take: none, one empty row,
+# and 1.4 _CHUNK of row text, which is written once on the way.
+ROW_LISTS = [([], 1), ([[]], 1), ([[i, [i, 2 * i]] for i in range(1500)], 2)]
+
+
+@pytest.mark.parametrize("rows, count", ROW_LISTS, ids=["no_rows", "one_empty_row", "past_chunk"])
+def test_write_json_writes_a_row_generator_as_its_list(rows, count):
+    writes = []
+    _write_json({"a": 1, "rows": (_render(r, _ROW_PAD) for r in rows), "z": [None]}, writes.append)
+    assert "".join(writes) == json.dumps({"a": 1, "rows": rows, "z": [None]}, sort_keys=True, indent=2)
+    assert len(writes) == count
 
 
 @pytest.mark.parametrize("value", [1.5, {1: "a"}, [0, 2.0], {"k": {True: 1}}, [1, object()]],

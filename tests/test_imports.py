@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports, only the modules
+"""Every module of the package uses each name it imports, every function,
+method and class it defines is reached from somewhere, only the modules
 whose values can be non-integral import `fractions`, none imports
 `dataclasses`, and the golden corpus runs without loading `argparse`."""
 
@@ -6,6 +7,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,52 @@ def test_guard_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> set[str]:
+    """The functions, methods and classes defined in source, dunders aside."""
+    return {n.name for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))}
+
+
+def read_names(source: str) -> set[str]:
+    """The names source reads: names, attributes, and the str constants that
+    are identifiers (`cli.COMMANDS` names each handler by a string)."""
+    named = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            named.add(n.value)
+    return named
+
+
+def unreached_definitions(sources: list[str], outside: set[str]) -> list[str]:
+    """The names defined in sources that no source reads and `outside` lacks."""
+    defined = set().union(*map(defined_names, sources))
+    return sorted(defined - set().union(*map(read_names, sources)) - outside)
+
+
+def test_guard_sees_unreached_definitions():
+    sources = ["class A:\n    def __len__(self): ...\n    def used(self): ...\n"
+               "    def spare(self): ...\ndef kept(): ...\n",
+               "A().used()\nhandler = 'kept'\n# spare\n"]
+    assert unreached_definitions(sources, set()) == ["spare"]
+    assert unreached_definitions(sources, {"spare"}) == []
+
+
+# The bench files that name probe and check targets; they are read, not edited.
+BENCH_NAMERS = [Path(__file__).parents[1] / "bench" / name for name in ("probes.py", "checks.py")]
+
+
+def test_every_definition_is_reached_from_src_all_or_the_bench():
+    # a definition only the tests call belongs in the tests
+    bench = {w for path in BENCH_NAMERS for w in re.findall(r"[A-Za-z_]\w*", path.read_text())}
+    sources = [p.read_text() for p in MODULES + [Path(bdsweyl.__file__)]]
+    assert unreached_definitions(sources, set(bdsweyl.__all__) | bench) == []
 
 
 # the symmetrizer and `inner`, the Garland coefficients, the evaluation

@@ -29,8 +29,8 @@ from bdsweyl.srring import (
     _sub,
     _times_one_minus_td,
     _trim,
-    _vertex_masks,
 )
+from bdsweyl.verify import _random_weight
 from test_cli import dumps
 
 B3 = build_pair("B", 3, rank=3)
@@ -44,15 +44,11 @@ def sample_pairs():
             build_pair("F", 4, rank=4)]
 
 
-def random_weight(pair, rng, bound=3):
-    return Weight0({k: rng.randrange(0, bound + 1) for k in pair.delta0_labels})
-
-
 def test_weight0_parse_and_format():
     w = Weight0.parse("h2=1,h0=1")
     assert w == EXAMPLE_578
     assert w[2] == 1 and w[0] == 1 and w[1] == 0
-    assert Weight0.parse("").is_zero()
+    assert not Weight0.parse("")
     assert w.format() == "h2=1,h0=1"
     with pytest.raises(ValueError):
         Weight0.parse("x=1")
@@ -102,7 +98,7 @@ def test_bn_generators_are_quadratic_on_the_last_two_nodes():
     for n in (3, 4, 5):
         pair = build_pair("B", n, rank=n)
         for _ in range(5):
-            lam = random_weight(pair, rng)
+            lam = _random_weight(pair, rng)
             pres = presentation(pair, lam)
             for g in pres.generators:
                 nodes = sorted(v.node for v in g)
@@ -125,7 +121,7 @@ def test_face_predicate_agrees_with_divisibility():
     rng = random.Random(13)
     for pair in sample_pairs():
         for _ in range(4):
-            pres = presentation(pair, random_weight(pair, rng, bound=2))
+            pres = presentation(pair, _random_weight(pair, rng, bound=2))
             variables = pres.variables
             if len(variables) > 10:
                 continue
@@ -151,7 +147,7 @@ def test_facets_example():
 def test_facets_are_maximal_faces():
     rng = random.Random(3)
     for pair in sample_pairs():
-        pres = presentation(pair, random_weight(pair, rng, bound=2))
+        pres = presentation(pair, _random_weight(pair, rng, bound=2))
         sc = pres.facets()
         assert pres.facets() is sc
         for f in sc.facets:
@@ -167,7 +163,7 @@ def test_krull_dim_closed_form():
     rng = random.Random(17)
     for pair in sample_pairs():
         for _ in range(6):
-            pres = presentation(pair, random_weight(pair, rng))
+            pres = presentation(pair, _random_weight(pair, rng))
             dim = pres.krull_dim()
             if pres.jac_zero:
                 assert dim == pres.d_lambda()
@@ -192,14 +188,14 @@ def test_hilbert_matches_bruteforce():
     rng = random.Random(23)
     for pair in sample_pairs():
         for _ in range(4):
-            pres = presentation(pair, random_weight(pair, rng))
+            pres = presentation(pair, _random_weight(pair, rng))
             D = 18
             assert pres.hilbert_series(D).coefficients == hilbert_series_bruteforce(pres, D)
     # Comark 2 (D6, node 3) and 3 (E6, node 4) at j: the numerator is truncated.
     for pair in (build_pair("D", 3, rank=6), build_pair("E", 4, rank=6)):
         assert pair.comarks_alpha0[pair.j - 1] >= 2
         for _ in range(4):
-            pres = presentation(pair, random_weight(pair, rng, bound=2))
+            pres = presentation(pair, _random_weight(pair, rng, bound=2))
             D = 14
             assert pres.hilbert_series(D).coefficients == hilbert_series_bruteforce(pres, D)
 
@@ -210,7 +206,7 @@ def test_hilbert_prefix_independent_of_truncation():
     sides = set()
     for pair in pairs:
         for _ in range(3):
-            pres = presentation(pair, random_weight(pair, rng))
+            pres = presentation(pair, _random_weight(pair, rng))
             sides.add(pres.jac_zero)
             for D in (0, 3, 10):
                 short, longer = pres.hilbert_series(D), pres.hilbert_series(D + 7)
@@ -275,10 +271,10 @@ def test_canonical_shelling_randomized():
     for n in (3, 4, 5):
         pair = build_pair("B", n, rank=n)
         for _ in range(8):
-            pres = presentation(pair, random_weight(pair, rng))
+            pres = presentation(pair, _random_weight(pair, rng))
             order = pres.canonical_shelling()
             sc = pres.facets()
-            assert sc.is_pure
+            assert len({len(f) for f in sc.facets}) == 1
             assert len(order) == min(pres.h0, pres.lam[n - 1]) + 1
             assert verify_shelling(sc, order)
 
@@ -320,22 +316,6 @@ def test_maximality_check_matches_pairwise_loop(pool, picks):
     assert accepted == _pairwise_maximal(facets)
 
 
-def vertex_masks_by_or(facets):
-    """Oracle: each vertex mask grown by one big-int OR per incidence."""
-    masks = {}
-    for bit, f in enumerate(facets):
-        for v in f:
-            masks[v] = masks.get(v, 0) | 1 << bit
-    return masks
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.frozensets(st.integers(0, 12), max_size=6), max_size=40))
-def test_vertex_masks_match_the_or_oracle(facets):
-    # facet counts on both sides of each byte boundary, empty facets included
-    assert _vertex_masks(facets) == vertex_masks_by_or(facets)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=7))
 def test_find_shelling_result_is_a_shelling(faces):
@@ -373,7 +353,7 @@ def test_flags_bn():
     for n in (3, 4):
         pair = build_pair("B", n, rank=n)
         for _ in range(5):
-            flags = presentation(pair, random_weight(pair, rng)).flags()
+            flags = presentation(pair, _random_weight(pair, rng)).flags()
             assert flags["jac_zero"] is True
             assert flags["koszul"] is True
             assert flags["pure"] is True
@@ -400,14 +380,14 @@ def test_variables_empty_iff_caps_zero():
     rng = random.Random(41)
     for pair in sample_pairs():
         for _ in range(10):
-            pres = presentation(pair, random_weight(pair, rng, bound=2))
+            pres = presentation(pair, _random_weight(pair, rng, bound=2))
             assert (len(pres.variables) == 0) == all(c == 0 for c in pres.caps.values())
 
 
 def test_generator_levels_within_caps_and_one_per_node():
     rng = random.Random(43)
     for pair in sample_pairs():
-        pres = presentation(pair, random_weight(pair, rng))
+        pres = presentation(pair, _random_weight(pair, rng))
         for g in pres.generators:
             nodes = [v.node for v in g]
             assert len(nodes) == len(set(nodes))
@@ -533,7 +513,7 @@ def test_tuple_reads_match_the_frozenset_oracle(data):
     dim, pure, count = pres.krull_dim(), pres.flags()["pure"], len(pres._tops)
     complex_ = pres.facets()
     assert dim == max(len(f) for f in complex_.facets)
-    assert pure is complex_.is_pure
+    assert pure is (len({len(f) for f in complex_.facets}) <= 1)
     assert count == len(complex_.facets)
 
 

@@ -201,7 +201,7 @@ def test_ideal_point_randomized():
             if all(p.weight[i] == 0 for p in params.points[1:]):
                 m = p0.weight[i]
                 for r in range(m + 1):
-                    assert point.pi_coeff(i, r) == comb(m, r) * (-p0.z_power) ** r
+                    assert point.pi[i - 1][r] == comb(m, r) * (-p0.z_power) ** r
 
 
 def test_sl2_basis():
