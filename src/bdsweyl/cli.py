@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 property failure, 2 usage error.
 `main` writes to stdout only once the answer is computed: every flag, the
 Hilbert series, and for alambda the facet and generator tuples with their
 checks.  So an exit of 1 or 2 leaves stdout empty.  The JSON is then written
-by `_write_json` and the text report a line at a time.  While an alambda
-answer is written, memory holds its payload without the facet and generator
-lists, plus the presentation's level tuples and per-node string tables: each
-row of those lists is made as it is written, in writes of about `_CHUNK`
-characters.
+by `_write_json` and the text report a line at a time, its facets line by
+`_line`.  While an alambda answer is written, memory holds its payload
+without the facet and generator lists, plus the presentation's level tuples
+and per-node string tables: each row of those lists is made as it is
+written, in writes of about `_CHUNK` characters.
 """
 
 from __future__ import annotations
@@ -86,23 +86,41 @@ def _render(obj, pad: str) -> str:
 _CHUNK = 1 << 16
 
 
+def _gather(rows: Iterator[str], sep: str, open_: str, close: str, empty: str,
+            text: list[str], write: Callable[[str], object]) -> None:
+    """Add open_ + sep.join(rows) + close, or `empty` when rows yields
+    nothing, to `text`, the pieces not yet written.  Each time the pieces
+    reach about `_CHUNK` characters, write them joined and clear them: no
+    more than a chunk of text is held."""
+    lead, size = None, sum(map(len, text))
+    for row in rows:
+        text += (open_ if lead is None else lead, row)
+        lead = sep
+        size += len(row)
+        if size >= _CHUNK:
+            write("".join(text))
+            text.clear()
+            size = 0
+    text.append(empty if lead is None else close)
+
+
 def _write_json(obj, write: Callable[[str], object]) -> None:
     """Write `json.dumps(obj, sort_keys=True, indent=2)` through `write`.
 
     A nonempty dict is written key by key, a generator value (the facet or
     generator rows of the alambda payload) as the list of the strings it
-    yields, in writes of about `_CHUNK` characters: no row list and no whole
-    document is ever held.  Every key and every other value is rendered
-    before the first write, so a TypeError leaves nothing written, and a dict
-    without a generator takes one write.  Any other obj is rendered by
-    `_render` and written in one call.
+    yields, by `_gather`: no row list and no whole document is ever held.
+    Every key and every other value is rendered before the first write, so a
+    TypeError leaves nothing written, and a dict without a generator takes
+    one write.  Any other obj is rendered by `_render` and written in one
+    call.
     """
     if type(obj) is not dict or not obj:
         write(_render(obj, "\n"))
         return
     items = [(encode_basestring_ascii(k), v if type(v) is GeneratorType else _render(v, "\n  "))
              for k, v in sorted(obj.items())]
-    text, size = [], 0  # pieces not yet written, and the length of their rows
+    text = []  # pieces not yet written
     lead = "{"
     for key, value in items:
         text.append(f"{lead}\n  {key}: ")
@@ -110,18 +128,21 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
         if type(value) is str:
             text.append(value)
             continue
-        sep = first = "[" + _ROW_PAD
-        for row in value:
-            text += (sep, row)
-            sep = "," + _ROW_PAD
-            size += len(row)
-            if size >= _CHUNK:
-                write("".join(text))
-                text.clear()
-                size = 0
-        text.append("[]" if sep is first else "\n  ]")
+        _gather(value, "," + _ROW_PAD, "[" + _ROW_PAD, "\n  ]", "[]", text, write)
     text.append("\n}")
     write("".join(text))
+
+
+def _line(head: str, rows: Iterator[str], sep: str, empty: str) -> Callable:
+    """A writer of the text line head + (sep.join(rows) or empty): called by
+    `main` with its `write`, it writes the line by `_gather`."""
+
+    def write_line(write: Callable[[str], object]) -> None:
+        text = [head]
+        _gather(rows, sep, "", "", empty, text, write)
+        write("".join(text))
+
+    return write_line
 
 
 def _resolve_pair(args) -> BdsPair:
@@ -318,7 +339,7 @@ def cmd_alambda(args):
         f"presentation: {payload['presentation']}"
         + ("   (A_lambda = C)" if not pres.variables else ""),
         f"Krull dimension: {payload['krull_dim']}",
-        "facets: " + ("; ".join(_facet_rows(pres, _TEXT_ROW)) or "{}"),
+        _line("facets: ", _facet_rows(pres, _TEXT_ROW), "; ", "{}"),
         f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
     ]
     if payload["hilbert"]["closed_form"]:
@@ -593,8 +614,11 @@ def main(argv=None) -> int:
                         write)
             write("\n")
         else:
-            for line in text:
-                write(line)
+            for line in text:  # a str, or a writer of its line from `_line`
+                if type(line) is str:
+                    write(line)
+                else:
+                    line(write)
                 write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

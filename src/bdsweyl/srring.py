@@ -22,7 +22,7 @@ import re
 from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bdspair import BdsPair
 from .rootsys import format_terms, frozen, require
@@ -214,6 +214,38 @@ class HilbertSeries(NamedTuple):
         require(all(c >= 0 for c in coeffs), "Hilbert series: negative coefficient in {}", coeffs)
 
 
+def _walk(n: int, children: Callable[[int, Hashable], list[tuple[int, Hashable]]],
+          start: Hashable) -> list[tuple[int, ...]]:
+    """Every level tuple of a walk over n nodes from state `start`, in child order.
+
+    `children(idx, state)` lists the (level, next state) pairs node idx offers
+    in state, in output order.  They depend on idx and the state alone, so
+    every prefix that reaches a state shares its suffixes (the meet-in-the-
+    middle split of Horowitz and Sahni).  The prefixes over the first n // 2
+    nodes are built once each, level by level, and joined to the suffix list
+    of their state, which `_suffixes` memoizes per (idx, state); a memo from
+    the first node on held every state's list, and was slower.  The memo dies
+    with the call, and `_suffixes` is a module function, not a closure over
+    itself or a presentation, so no reference cycle outlives the call.
+    """
+    half, memo = n // 2, {}
+    level = [((), start)]
+    for idx in range(half):
+        level = [(prefix + (r,), nxt) for prefix, state in level for r, nxt in children(idx, state)]
+    return [prefix + tail for prefix, state in level
+            for tail in _suffixes(half, state, n, children, memo)] if n else [()]
+
+
+def _suffixes(idx: int, state: Hashable, n: int, children: Callable, memo: dict) -> list:
+    """The level tuples of nodes idx..n - 1 from state, in child order, memoized by (idx, state)."""
+    key = (idx, state)
+    if key not in memo:
+        memo[key] = [(r,) for r, _ in children(idx, state)] if idx == n - 1 else [
+            (r, *tail) for r, nxt in children(idx, state)
+            for tail in _suffixes(idx + 1, nxt, n, children, memo)]
+    return memo[key]
+
+
 class SRPresentation:
     """Surviving variables and minimal relations for a pair and a weight."""
 
@@ -317,41 +349,32 @@ class SRPresentation:
         h0, which no later levels take over h0.  For r >= 1 both bounds are
         one range: the prefix stays minimal iff total <= h0 and r <= (h0 +
         least - total) // w, and it is kept iff r > (h0 - rest - total) // w.
-        The walk keeps an explicit stack: a recursive closure reading self
-        would be a reference cycle.
+        So every tuple `_walk` lists over the state (total, least) is a
+        generator, and every generator is listed.
 
         The tuples come out in mixed-radix order, the levels read with 0 as
-        cap + 1: each node pushes level 0 first and then its levels from the
-        highest down, so they pop from the lowest up with 0 last, and the last
-        node appends its leaves in that order.  That is the order of the
-        generators sorted as sorted variable lists: at the first node where
-        two generators differ, the one without a variable there has one of a
-        later node, which sorts after P[i, r]; neither can end there, since no
-        generator contains another.
+        cap + 1: each node offers its levels from the lowest up, then 0.  That
+        is the order of the generators sorted as sorted variable lists: at the
+        first node where two generators differ, the one without a variable
+        there has one of a later node, which sorts after P[i, r]; neither can
+        end there, since no generator contains another.
         """
         weights, caps, rests = self._walk_bounds
         h0 = self.h0
-        last = len(weights) - 1
-        out: list[tuple[int, ...]] = []
-        # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
-        stack = [(0, 0, h0 + 1, ())] if weights else []
-        while stack:
-            idx, total, least, levels = stack.pop()
-            w, cap, rest = weights[idx], caps[idx], rests[idx]
+
+        def children(idx: int, state: tuple[int, int]) -> list:
+            total, least = state
+            w, rest = weights[idx], rests[idx]
             # the levels r >= 1 that keep the prefix minimal and can still violate
             kept = range(max(1, (h0 - rest - total) // w + 1),
-                         min(cap, (h0 + least - total) // w) + 1 if total <= h0 else 1)
-            zero = total - h0 <= least and total + rest > h0
-            if idx == last:
-                out += [levels + (r,) for r in kept]
-                if zero:
-                    out.append(levels + (0,))
-                continue
-            if zero:
-                stack.append((idx + 1, total, least, levels + (0,)))
-            stack += [(idx + 1, total + w * r, min(least, w * r), levels + (r,))
-                      for r in reversed(kept)]
-        return tuple(out)
+                         min(caps[idx], (h0 + least - total) // w) + 1 if total <= h0 else 1)
+            out = [(r, (total + w * r, min(least, w * r))) for r in kept]
+            if total - h0 <= least and total + rest > h0:
+                out.append((0, state))
+            return out
+
+        # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
+        return tuple(_walk(len(weights), children, (0, h0 + 1))) if weights else ()
 
     def face_predicate(self, sigma: Iterable[SRVariable]) -> bool:
         """Whether sigma is a face: no generator divides its product."""
@@ -368,7 +391,8 @@ class SRPresentation:
     # -- simplicial complex --------------------------------------------------
 
     def facet_count(self) -> int:
-        """The number of facets, counted without the walk of `_tops`.
+        """The number of facets, counted without the walk of `_tops`: its
+        independent check, so it stays its own DP.
 
         A top-level tuple t is a facet iff the budget it leaves, lam(h_0) -
         sum_i w_i t_i, is below the least weight of a node not at its cap.  A DP
@@ -388,16 +412,17 @@ class SRPresentation:
     @cached_property
     def _tops(self) -> tuple[tuple[int, ...], ...]:
         """Top levels of the maximal faces on the constrained nodes, one tuple
-        per facet (an explicit-stack walk, like `_generator_levels`).  A
-        presentation with more than MAX_FACETS facets is refused first.
+        per facet, listed by `_walk` over the state (budget left, least
+        weight of a node not at its cap).  A presentation with more than
+        MAX_FACETS facets is refused first.
 
         A tuple is maximal iff the budget it leaves is below the least weight
         of a node not at its cap (`facet_count`).  The later nodes can take at
-        most rest, so a prefix that would leave at least that weight with every
-        later node at its cap is pruned, and every leaf is a facet.
+        most rest, so a level that would leave at least that weight with every
+        later node at its cap is never offered, and every leaf is a facet.
 
-        Levels are pushed in ascending order, so they pop in descending
-        lexicographic order of the top-level tuples.  That is the order of the
+        Each node offers its levels from the highest down, so the tuples come
+        out in descending lexicographic order.  That is the order of the
         facets sorted as sorted variable lists: at the first node where two
         tuples differ, the larger top puts P[i, s + 1] where the other facet
         has a variable of a later node (it cannot end there, being maximal).
@@ -413,19 +438,14 @@ class SRPresentation:
             raise ValueError(f"too many facets: the complex has {count}, above the limit "
                              f"{MAX_FACETS}")
         weights, caps, rests = self._walk_bounds
-        out: list[tuple[int, ...]] = []
-        stack = [(0, self.h0, self.h0 + 1, ())]
-        while stack:
-            idx, budget, least, tops = stack.pop()
-            if idx == len(weights):
-                out.append(tops)
-                continue
+
+        def children(idx: int, state: tuple[int, int]) -> list:
+            budget, least = state
             w, cap, rest = weights[idx], caps[idx], rests[idx]
-            for m in range(min(cap, budget // w) + 1):
-                left = budget - w * m
-                below = least if m == cap else min(least, w)
-                if left - rest < below:
-                    stack.append((idx + 1, left, below, tops + (m,)))
+            return [(m, (left, below)) for m in range(min(cap, budget // w), -1, -1)
+                    if (left := budget - w * m) - rest < (below := least if m == cap else min(least, w))]
+
+        out = _walk(len(weights), children, (self.h0, self.h0 + 1))
         self._check_tops(out)
         require(len(out) == count, "facets: the walk listed {} tuples, the count is {}",
                 len(out), count)

@@ -253,6 +253,24 @@ def test_alambda_json_is_written_without_a_copy_of_the_answer():
     assert peak < 1.5 * 2**20
 
 
+def test_alambda_text_is_written_without_a_copy_of_the_facets_line():
+    # the D12 frontier text report: 2.4 MB, 1.8 MB of it the facets line,
+    # written a chunk of rows at a time (the whole line held peaked at 7.75 MB)
+    with contextlib.redirect_stdout(HashSink()):
+        main(D12_ALAMBDA.split())  # builds D12 and the pair
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(D12_ALAMBDA.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, 2445252)
+    assert sink.sha.hexdigest() == "b27f529f545ce15b47da4d825f2b1eaf5013c9aa8259a6715c15129968ac98dd"
+    assert peak < 6 * 2**20
+
+
 # Runs one query and reports the peak resident set size of its process, in
 # KiB.  Linux keeps the peak of the address space an exec replaces, so the
 # query runs in a child of a small launcher, not of this process.

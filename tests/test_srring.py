@@ -29,6 +29,7 @@ from bdsweyl.srring import (
     _sub,
     _times_one_minus_td,
     _trim,
+    _walk,
 )
 from bdsweyl.verify import _random_weight
 from test_cli import dumps
@@ -411,6 +412,38 @@ def generators_by_product(pres):
     return out
 
 
+# Oracle: every top-level tuple t with 0 <= t_i <= cap_i that leaves left =
+# lam(h_0) - sum_i w_i t_i >= 0, and left < w_i at every node with t_i < cap_i,
+# in descending order.
+def tops_by_product(pres):
+    nodes = pres.constrained_nodes
+    weights, caps = [pres.comarks[i - 1] for i in nodes], [pres.caps[i] for i in nodes]
+    out = []
+    for tops in product(*(range(cap + 1) for cap in caps)):
+        left = pres.h0 - sum(w * m for w, m in zip(weights, tops))
+        if left >= 0 and all(left < w for w, m, cap in zip(weights, tops, caps) if m < cap):
+            out.append(tops)
+    return tuple(sorted(out, reverse=True))
+
+
+def test_walk_lists_every_path_and_shares_the_suffixes_of_a_state():
+    # one state everywhere and two levels at each node, offered 1 before 0
+    calls = []
+
+    def children(idx, state):
+        calls.append(idx)
+        return [(1, state), (0, state)]
+
+    assert _walk(8, children, "s") == list(product((1, 0), repeat=8))
+    # the prefixes over nodes 0-3 take 1 + 2 + 4 + 8 calls, and the suffix
+    # list of nodes 4-7 is built once, one call a node; a walk without the
+    # memo calls children at each of the 255 inner nodes of the tree
+    assert sorted(calls) == [0, 1, 1, 2, 2, 2, 2, *[3] * 8, 4, 5, 6, 7]
+    calls.clear()
+    assert (_walk(0, children, "s"), _walk(1, children, "s")) == ([()], [(1,), (0,)])
+    assert calls == [0]
+
+
 ALL_PAIRS_6 = all_pairs(6)
 
 
@@ -484,6 +517,15 @@ def test_facet_count_is_the_number_of_facets(data):
     lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
     pres = presentation(pair, lam)
     assert pres.facet_count() == len(pres.facets().facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tops_match_the_product_enumeration(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    assert pres._tops == tops_by_product(pres)
 
 
 def test_facet_limit_is_checked_before_the_walk():
