@@ -10,12 +10,13 @@ Exit codes: 0 success, 1 property failure, 2 usage error.
 
 `main` writes to stdout only once the answer is computed: every flag, the
 Hilbert series, and for alambda the facet and generator tuples with their
-checks.  So an exit of 1 or 2 leaves stdout empty.  The JSON is then written
-by `_write_json` and the text report a line at a time, its facets line by
-`_line`.  While an alambda answer is written, memory holds its payload
-without the facet and generator lists, plus the presentation's level tuples
-and per-node string tables: each row of those lists is made as it is
-written, in writes of about `_CHUNK` characters.
+checks.  So an exit of 1 or 2 leaves stdout empty.  Both formats are then
+written by one writer, `_write`: the JSON as the parts `_json` makes of the
+payload, the text report as its lines.  The alambda presentation string
+C[vars] / (gens) and the facet and generator lists are `_Joined` parts: while
+they are written, memory holds the payload without them, plus the
+presentation's level tuples and per-node string tables, and each monomial or
+row is made as it is written, in writes of about `_CHUNK` characters.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import getitem
-from types import GeneratorType, SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
@@ -82,67 +83,63 @@ def _render(obj, pad: str) -> str:
     raise TypeError(f"{t.__name__} is not written as JSON")
 
 
-# Characters of row text gathered before a `write`.
+# Characters of text gathered before a `write`.
 _CHUNK = 1 << 16
 
 
-def _gather(rows: Iterator[str], sep: str, open_: str, close: str, empty: str,
-            text: list[str], write: Callable[[str], object]) -> None:
-    """Add open_ + sep.join(rows) + close, or `empty` when rows yields
-    nothing, to `text`, the pieces not yet written.  Each time the pieces
-    reach about `_CHUNK` characters, write them joined and clear them: no
-    more than a chunk of text is held."""
-    lead, size = None, sum(map(len, text))
-    for row in rows:
-        text += (open_ if lead is None else lead, row)
-        lead = sep
-        size += len(row)
-        if size >= _CHUNK:
-            write("".join(text))
-            text.clear()
-            size = 0
-    text.append(empty if lead is None else close)
+class _Joined(NamedTuple):
+    """A part of what `_write` writes: open_ + sep.join(rows) + close, or
+    `empty` when rows yields nothing, each row made as it is written."""
+
+    rows: Iterator[str]
+    open_: str
+    sep: str
+    close: str
+    empty: str
 
 
-def _write_json(obj, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(obj, sort_keys=True, indent=2)` through `write`.
-
-    A nonempty dict is written key by key, a generator value (the facet or
-    generator rows of the alambda payload) as the list of the strings it
-    yields, by `_gather`: no row list and no whole document is ever held.
-    Every key and every other value is rendered before the first write, so a
-    TypeError leaves nothing written, and a dict without a generator takes
-    one write.  Any other obj is rendered by `_render` and written in one
-    call.
-    """
-    if type(obj) is not dict or not obj:
-        write(_render(obj, "\n"))
-        return
-    items = [(encode_basestring_ascii(k), v if type(v) is GeneratorType else _render(v, "\n  "))
-             for k, v in sorted(obj.items())]
-    text = []  # pieces not yet written
-    lead = "{"
-    for key, value in items:
-        text.append(f"{lead}\n  {key}: ")
-        lead = ","
-        if type(value) is str:
-            text.append(value)
+def _write(parts: Iterable[str | _Joined], write: Callable[[str], object]) -> None:
+    """Write the parts, each a str or a `_Joined`, through `write`: the text is
+    gathered, and written joined each time it reaches about `_CHUNK`
+    characters within the rows of a `_Joined`.  So no more than a chunk of text
+    is held, and a small payload takes one write."""
+    text, size = [], 0  # pieces not yet written, and their length
+    for part in parts:
+        if type(part) is str:
+            text.append(part)
+            size += len(part)
             continue
-        _gather(value, "," + _ROW_PAD, "[" + _ROW_PAD, "\n  ]", "[]", text, write)
-    text.append("\n}")
+        rows, open_, sep, close, empty = part
+        lead = None
+        for row in rows:
+            text += (open_ if lead is None else lead, row)
+            lead = sep
+            size += len(row)
+            if size >= _CHUNK:
+                write("".join(text))
+                text.clear()
+                size = 0
+        text.append(empty if lead is None else close)
     write("".join(text))
 
 
-def _line(head: str, rows: Iterator[str], sep: str, empty: str) -> Callable:
-    """A writer of the text line head + (sep.join(rows) or empty): called by
-    `main` with its `write`, it writes the line by `_gather`."""
+def _json(obj) -> list[str | _Joined]:
+    """The parts of `json.dumps(obj, sort_keys=True, indent=2)` for `_write`.
 
-    def write_line(write: Callable[[str], object]) -> None:
-        text = [head]
-        _gather(rows, sep, "", "", empty, text, write)
-        write("".join(text))
-
-    return write_line
+    A `_Joined` value of obj (the presentation, facets and generators of
+    the alambda payload) stays a part: no row list and no whole document is
+    ever held.  Every key and every other value is rendered by `_render` here,
+    so a TypeError comes before the first write.
+    """
+    if type(obj) is not dict or not obj:
+        return [_render(obj, "\n")]
+    parts, lead = [], "{"
+    for key, value in sorted(obj.items()):
+        parts += (f"{lead}\n  {encode_basestring_ascii(key)}: ",
+                  value if type(value) is _Joined else _render(value, "\n  "))
+        lead = ","
+    parts.append("\n}")
+    return parts
 
 
 def _resolve_pair(args) -> BdsPair:
@@ -232,6 +229,8 @@ _ROW_PAD = "\n    "
 _ITEM_PAD = _ROW_PAD + "  "
 _JSON_ROW = _RowStyle(lambda v: _render([v.node, v.level], _ITEM_PAD), "," + _ITEM_PAD,
                       "[" + _ITEM_PAD, _ROW_PAD + "]", "[]")
+# The brackets and separator of a top-level list of such rows, for `_Joined`.
+_JSON_LIST = ("[" + _ROW_PAD, "," + _ROW_PAD, "\n  ]", "[]")
 # A facet of the text report.
 _TEXT_ROW = _RowStyle(SRVariable.label, ", ", "{", "}", "{}")
 
@@ -243,7 +242,7 @@ def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
     The row of key tuple t joins the nonempty entries `tables[k][t[k]]` and
     then `tail`, in the brackets of `style`.  The tables are per-node string
     tables and the keys the presentation's own tuples, so no row text is held:
-    `_write_json` writes each row as it is made.
+    `_write` writes each row as it is made.
     """
     _, sep, open_, close, empty = style
     for key in keys:
@@ -291,15 +290,24 @@ def _generator_rows(pres: SRPresentation) -> Iterator[str]:
     return _rows(tables, pres._generator_levels, "", _JSON_ROW)
 
 
+def _presentation(pres: SRPresentation, lead: str, tail: str) -> _Joined:
+    """lead + "C[vars] / (gens)" + tail, gens (or "-") the monomials of the
+    generators in their order, each joined from per-node label tables ("" at
+    level 0) when `_write` reaches it."""
+    head = f"{lead}C[{', '.join(v.label() for v in pres.variables) or '-'}] / ("
+    tables = [[""] + [v.label() for v in pres._by_node[i]] for i in pres.constrained_nodes]
+    monomials = ("".join(map(getitem, tables, levels)) for levels in pres._generator_levels)
+    return _Joined(monomials, head, ", ", ")" + tail, head + "-)" + tail)
+
+
 def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload without its facet and generator rows."""
+    """The alambda payload without its presentation, facet and generator rows."""
     flags = pres.flags()
     pair = pres.pair
     return {
         "weight": pres.lam.format(),
         "caps": {str(i): pres.caps[i] for i in pair.rs.nodes},
         "variables": [[v.node, v.level, v.degree] for v in pres.variables],
-        "presentation": pres.format(),
         "krull_dim": pres.krull_dim(),
         "d_lambda": pres.d_lambda() if pres.jac_zero else None,
         "hilbert": _hilbert_payload(pres.hilbert_series(degree)),
@@ -317,10 +325,13 @@ def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
 
 
 def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload, its facet and generator lists as row generators."""
+    """The alambda payload, its presentation and its facet and generator lists
+    as `_Joined` parts.  The labels of the presentation are ASCII without '"'
+    or '\\', so in quotes it is already its JSON string."""
     out = _presentation_summary(pres, degree)
-    out["facets"] = _facet_rows(pres, _JSON_ROW)
-    out["generators"] = _generator_rows(pres)
+    out["presentation"] = _presentation(pres, '"', '"')
+    out["facets"] = _Joined(_facet_rows(pres, _JSON_ROW), *_JSON_LIST)
+    out["generators"] = _Joined(_generator_rows(pres), *_JSON_LIST)
     return out
 
 
@@ -336,10 +347,9 @@ def cmd_alambda(args):
     text = [
         f"pair: {pair.describe()}",
         f"weight: {lam.format()}",
-        f"presentation: {payload['presentation']}"
-        + ("   (A_lambda = C)" if not pres.variables else ""),
+        _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
-        _line("facets: ", _facet_rows(pres, _TEXT_ROW), "; ", "{}"),
+        _Joined(_facet_rows(pres, _TEXT_ROW), "facets: ", "; ", "", "facets: {}"),
         f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
     ]
     if payload["hilbert"]["closed_form"]:
@@ -607,19 +617,12 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    write = sys.stdout.write
+    if args.format == "json":
+        parts = [*_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}), "\n"]
+    else:
+        parts = [part for line in text for part in (line, "\n")]
     try:
-        if args.format == "json":
-            _write_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload},
-                        write)
-            write("\n")
-        else:
-            for line in text:  # a str, or a writer of its line from `_line`
-                if type(line) is str:
-                    write(line)
-                else:
-                    line(write)
-                write("\n")
+        _write(parts, sys.stdout.write)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: send the flush at interpreter exit to devnull

@@ -134,12 +134,6 @@ class HPoly:
             return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
-    def __add__(self, other: "HPoly") -> "HPoly":
-        return HPoly.sum((self, other))
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "HPoly":
         c = Fraction(c)
         return HPoly._reduced(self.den * c.denominator,

@@ -643,14 +643,6 @@ class SRPresentation:
             "cohen_macaulay_certified": cm,
         }
 
-    def format(self) -> str:
-        vars_ = ", ".join(v.label() for v in self.variables) or "-"
-        # tables[k][r]: the label of P[i, r] at the k-th constrained node i, "" at r = 0
-        tables = [[""] + [v.label() for v in self._by_node[i]] for i in self.constrained_nodes]
-        gens = ", ".join("".join(map(getitem, tables, levels))
-                         for levels in self._generator_levels) or "-"
-        return f"C[{vars_}] / ({gens})"
-
 
 def presentation(pair: BdsPair, lam: Weight0) -> SRPresentation:
     return SRPresentation(pair, lam)

@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 import bdsweyl
 from bdsweyl import garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs
-from bdsweyl.cli import (_CHUNK, _ROW_PAD, COMMANDS, _pair_payload, _plain_args, _render, _write_json,
-                         build_parser, main)
+from bdsweyl.cli import (_CHUNK, _JSON_LIST, _ROW_PAD, COMMANDS, _json, _Joined, _pair_payload,
+                         _plain_args, _render, _write, build_parser, main)
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
 from test_bench_goldens import GOLDENS, workloads
 from test_golden import D12_ALAMBDA, FRONTIER, GOLDEN
 
 
 def dumps(obj) -> str:
-    """What `_write_json` writes for obj, as one string."""
+    """What `_write` writes of `_json(obj)`, as one string."""
     parts = []
-    _write_json(obj, parts.append)
+    _write(_json(obj), parts.append)
     return "".join(parts)
 
 
@@ -221,14 +221,16 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 class HashSink:
-    """A stdout that keeps only the SHA-256 and the length of what is written."""
+    """A stdout that keeps only the SHA-256 and the length of what is written,
+    and the number of writes."""
 
     def __init__(self):
-        self.sha, self.size = hashlib.sha256(), 0
+        self.sha, self.size, self.writes = hashlib.sha256(), 0, 0
 
     def write(self, s):
         self.sha.update(s.encode())
         self.size += len(s)
+        self.writes += 1
 
     def flush(self):
         pass
@@ -269,6 +271,38 @@ def test_alambda_text_is_written_without_a_copy_of_the_facets_line():
     assert (code, sink.size) == (0, 2445252)
     assert sink.sha.hexdigest() == "b27f529f545ce15b47da4d825f2b1eaf5013c9aa8259a6715c15129968ac98dd"
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "b27f529f545ce15b47da4d825f2b1eaf5013c9aa8259a6715c15129968ac98dd"),
+    ("json", dict(FRONTIER)[D12_ALAMBDA])], ids=["text", "json"])
+def test_alambda_presentation_is_written_without_a_copy_of_it(fmt, digest):
+    # the D12 frontier: its presentation, 17911 generators in 618956
+    # characters, is written a chunk of monomials at a time (held as one
+    # string, the peak was 4.8 MiB in either format)
+    argv = D12_ALAMBDA.split() + ["--format", fmt]
+    with contextlib.redirect_stdout(HashSink()):
+        main(argv)  # builds D12 and the pair
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.sha.hexdigest() == digest
+    assert peak < 4.5 * 2**20
+
+
+@pytest.mark.parametrize("fmt, size", [("text", 249), ("json", 760)])
+def test_a_small_report_takes_one_write(fmt, size):
+    # the text report has 9 lines, each once written apart from its newline
+    sink = HashSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["pair", "B", "3", "--node", "3", "--format", fmt])
+    assert (code, sink.size, sink.writes) == (0, size, 1)
 
 
 # Runs one query and reports the peak resident set size of its process, in
@@ -687,7 +721,8 @@ ROW_LISTS = [([], 1), ([[]], 1), ([[i, [i, 2 * i]] for i in range(1500)], 2)]
 @pytest.mark.parametrize("rows, count", ROW_LISTS, ids=["no_rows", "one_empty_row", "past_chunk"])
 def test_write_json_writes_a_row_generator_as_its_list(rows, count):
     writes = []
-    _write_json({"a": 1, "rows": (_render(r, _ROW_PAD) for r in rows), "z": [None]}, writes.append)
+    row_list = _Joined((_render(r, _ROW_PAD) for r in rows), *_JSON_LIST)
+    _write(_json({"a": 1, "rows": row_list, "z": [None]}), writes.append)
     assert "".join(writes) == json.dumps({"a": 1, "rows": rows, "z": [None]}, sort_keys=True, indent=2)
     assert len(writes) == count
 

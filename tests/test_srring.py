@@ -32,7 +32,7 @@ from bdsweyl.srring import (
     _walk,
 )
 from bdsweyl.verify import _random_weight
-from test_cli import dumps
+from test_cli import dumps, stdout_of
 
 B3 = build_pair("B", 3, rank=3)
 EXAMPLE_578 = Weight0({2: 1, 0: 1})  # lam(h_2) = lam(h_0) = 1
@@ -73,7 +73,8 @@ def test_example_presentation():
     gens = pres.generators
     assert len(gens) == 1
     assert sorted((v.node, v.level) for v in next(iter(gens))) == [(2, 1), (3, 1)]
-    assert pres.format() == "C[P(2,1), P(3,1)] / (P(2,1)P(3,1))"
+    code, out = stdout_of(["alambda", "B", "3", "--node", "3", "--weight", EXAMPLE_578.format()])
+    assert code == 0 and "\npresentation: C[P(2,1), P(3,1)] / (P(2,1)P(3,1))\n" in out
 
 
 def test_zero_weight_presentation():
