@@ -16,7 +16,10 @@ payload, the text report as its lines.  The alambda presentation string
 C[vars] / (gens) and the facet and generator lists are `_Joined` parts: while
 they are written, memory holds the payload without them, plus the
 presentation's level tuples and per-node string tables, and each monomial or
-row is made as it is written, in writes of about `_CHUNK` characters.
+row is made as it is written, in writes of about `_CHUNK` characters.  Each
+entry of a row table starts with its own separator, so one `_rows` makes
+every facet and generator row with one join; the presentation's monomials
+are joined directly from label tables that have no separator.
 """
 
 from __future__ import annotations
@@ -212,90 +215,79 @@ def _hilbert_payload(hs: HilbertSeries) -> dict:
     }
 
 
-class _RowStyle(NamedTuple):
-    """How a row of variables is written: each variable's text, the separator
-    between variables, and the row's brackets (`empty` when it has none)."""
-
-    item: Callable[[SRVariable], str]
-    sep: str
-    open: str
-    close: str
-    empty: str
-
-
+# The brackets of a row, in the order of `_Joined`: open, sep, close, empty.
 # The "facets" and "generators" lists of the alambda payload are top-level
 # values: each row closes at _ROW_PAD, and each [node, level] in it at _ITEM_PAD.
 _ROW_PAD = "\n    "
 _ITEM_PAD = _ROW_PAD + "  "
-_JSON_ROW = _RowStyle(lambda v: _render([v.node, v.level], _ITEM_PAD), "," + _ITEM_PAD,
-                      "[" + _ITEM_PAD, _ROW_PAD + "]", "[]")
-# The brackets and separator of a top-level list of such rows, for `_Joined`.
+_JSON_ROW = ("[" + _ITEM_PAD, "," + _ITEM_PAD, _ROW_PAD + "]", "[]")
+# The brackets of a top-level list of such rows.
 _JSON_LIST = ("[" + _ROW_PAD, "," + _ROW_PAD, "\n  ]", "[]")
 # A facet of the text report.
-_TEXT_ROW = _RowStyle(SRVariable.label, ", ", "{", "}", "{}")
+_TEXT_ROW = ("{", ", ", "}", "{}")
+
+
+def _json_item(v: SRVariable) -> str:
+    return _render([v.node, v.level], _ITEM_PAD)
+
+
+def _tables(pres: SRPresentation, item: Callable[[SRVariable], str], sep: str) -> list[list[str]]:
+    """The string table of each constrained node, in order: "" at level 0,
+    then sep + item(P[i, r]) at each level r."""
+    return [["", *(sep + item(v) for v in pres._by_node[i])] for i in pres.constrained_nodes]
 
 
 def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
-          style: _RowStyle) -> Iterator[str]:
+          brackets: tuple[str, str, str, str]) -> Iterator[str]:
     """The rows, each rendered when the iteration reaches it.
 
-    The row of key tuple t joins the nonempty entries `tables[k][t[k]]` and
-    then `tail`, in the brackets of `style`.  The tables are per-node string
-    tables and the keys the presentation's own tuples, so no row text is held:
-    `_write` writes each row as it is made.
+    Every nonempty table entry, and `tail`, starts with its own separator.
+    So the row of key tuple t is its body, the entries `tables[k][t[k]]` and
+    then `tail` in one join, with the leading separator cut, in the brackets
+    (open, sep, close, empty): `empty` when the body is "".  The tables are
+    per-node string tables and the keys the presentation's own tuples, so no
+    row text is held: `_write` writes each row as it is made.
     """
-    _, sep, open_, close, empty = style
+    open_, sep, close, empty = brackets
+    cut = len(sep)
     for key in keys:
-        parts = [p for p in map(getitem, tables, key) if p]
-        if tail:
-            parts.append(tail)
-        yield open_ + sep.join(parts) + close if parts else empty
+        body = "".join(map(getitem, tables, key)) + tail
+        yield open_ + body[cut:] + close if body else empty
 
 
-def _prefix_table(items: list[str], sep: str) -> list[str]:
-    """[sep.join(items[:m]) for m in 0..len(items)], each built from the one before."""
-    return ["", *accumulate(items, lambda prefix, item: prefix + sep + item)]
-
-
-def _facet_rows(pres: SRPresentation, style: _RowStyle) -> Iterator[str]:
+def _facet_rows(pres: SRPresentation, item: Callable[[SRVariable], str],
+                brackets: tuple[str, str, str, str]) -> Iterator[str]:
     """The row of each facet, read from its top-level tuple in `pres._tops`,
     in that order (no frozenset is built).
 
     A facet is P[i, 1..t_i] at each constrained node, t its top-level tuple,
-    plus every variable of each free node.  So a row joins one prefix per
-    node, in node order, from per-node prefix tables.  The prefix of a free
-    node is fixed: it is joined into each prefix of the next constrained node,
-    or, after the last one, into the row's tail.  `_tops`, with its checks,
-    is read here, before any row is made.
+    plus every variable of each free node.  So the table of a constrained
+    node holds, at each level m, the text of the free nodes since the last
+    constrained node and then of P[i, 1..m], each item after its separator;
+    the free nodes after the last constrained node are the row's tail.  A
+    node with cap 0 adds "".  `_tops`, with its checks, is read here, before
+    any row is made.
     """
-    sep = style.sep
-    free, constrained = set(pres.free_nodes), set(pres.constrained_nodes)
+    sep = brackets[1]
+    constrained = set(pres.constrained_nodes)
     tables: list[list[str]] = []
-    fixed: list[str] = []  # free-node prefixes not yet joined into a table
+    fixed = ""  # the text of the free nodes not yet joined into a table
     for i in pres.pair.rs.nodes:
-        if i in free or i in constrained:
-            prefixes = _prefix_table([style.item(v) for v in pres._by_node[i]], sep)
-            if i in free:
-                fixed.append(prefixes[-1])
-            else:
-                tables.append([sep.join(fixed + [p]) if p else sep.join(fixed) for p in prefixes])
-                fixed = []
-    return _rows(tables, pres._tops, sep.join(fixed), style)
-
-
-def _generator_rows(pres: SRPresentation) -> Iterator[str]:
-    """The JSON row of each generator of `pres.generators`, in its order: one
-    variable at each node of nonzero level, from per-node item tables."""
-    tables = [[""] + [_JSON_ROW.item(v) for v in pres._by_node[i]] for i in pres.constrained_nodes]
-    return _rows(tables, pres._generator_levels, "", _JSON_ROW)
+        prefixes = list(accumulate((sep + item(v) for v in pres._by_node[i]), initial=""))
+        if i in constrained:
+            tables.append([fixed + p for p in prefixes])
+            fixed = ""
+        else:
+            fixed += prefixes[-1]
+    return _rows(tables, pres._tops, fixed, brackets)
 
 
 def _presentation(pres: SRPresentation, lead: str, tail: str) -> _Joined:
     """lead + "C[vars] / (gens)" + tail, gens (or "-") the monomials of the
-    generators in their order, each joined from per-node label tables ("" at
-    level 0) when `_write` reaches it."""
+    generators in their order, each joined from the label tables of `_tables`
+    when `_write` reaches it."""
     head = f"{lead}C[{', '.join(v.label() for v in pres.variables) or '-'}] / ("
-    tables = [[""] + [v.label() for v in pres._by_node[i]] for i in pres.constrained_nodes]
+    tables = _tables(pres, SRVariable.label, "")
     monomials = ("".join(map(getitem, tables, levels)) for levels in pres._generator_levels)
     return _Joined(monomials, head, ", ", ")" + tail, head + "-)" + tail)
 
@@ -330,8 +322,9 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
     or '\\', so in quotes it is already its JSON string."""
     out = _presentation_summary(pres, degree)
     out["presentation"] = _presentation(pres, '"', '"')
-    out["facets"] = _Joined(_facet_rows(pres, _JSON_ROW), *_JSON_LIST)
-    out["generators"] = _Joined(_generator_rows(pres), *_JSON_LIST)
+    out["facets"] = _Joined(_facet_rows(pres, _json_item, _JSON_ROW), *_JSON_LIST)
+    gens = _rows(_tables(pres, _json_item, _JSON_ROW[1]), pres._generator_levels, "", _JSON_ROW)
+    out["generators"] = _Joined(gens, *_JSON_LIST)
     return out
 
 
@@ -349,7 +342,7 @@ def cmd_alambda(args):
         f"weight: {lam.format()}",
         _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
-        _Joined(_facet_rows(pres, _TEXT_ROW), "facets: ", "; ", "", "facets: {}"),
+        _Joined(_facet_rows(pres, SRVariable.label, _TEXT_ROW), "facets: ", "; ", "", "facets: {}"),
         f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
     ]
     if payload["hilbert"]["closed_form"]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import bdsweyl
 from bdsweyl import garland, srring, verify, weylcrit
-from bdsweyl.bdspair import BdsPair, all_pairs
+from bdsweyl.bdspair import BdsPair, all_pairs, build_pair
 from bdsweyl.cli import (_CHUNK, _JSON_LIST, _ROW_PAD, COMMANDS, _json, _Joined, _pair_payload,
                          _plain_args, _render, _write, build_parser, main)
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
@@ -814,12 +814,7 @@ def stdout_of(argv):
 ALL_PAIRS_8 = all_pairs(8)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_alambda_rows_match_the_list_renderer(data):
-    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
-    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
-    degree = data.draw(st.integers(0, 8), label="degree")
+def assert_rows_match_the_list_renderer(pair, lam, degree):
     argv = ["alambda", pair.rs.type_letter, str(pair.rs.rank), "--node", str(pair.j),
             "--weight", lam.format(), "--degree", str(degree)]
     pres = presentation(pair, lam)
@@ -828,6 +823,36 @@ def test_alambda_rows_match_the_list_renderer(data):
     assert stdout_of(argv + ["--format", "json"]) == (
         0, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     assert stdout_of(argv) == (0, old_text_report(pres, old, degree))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alambda_rows_match_the_list_renderer(data):
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    degree = data.draw(st.integers(0, 8), label="degree")
+    assert_rows_match_the_list_renderer(pair, lam, degree)
+
+
+# Rows the draw above seldom reaches, each with the shape it pins: a free node
+# after the last constrained node (the row's tail after its table entries;
+# of all_pairs(12) only E6 node 3, E7 node 2 and E8 node 1 have one), free
+# nodes but no constrained node (the tail alone), and no variable at all.
+FIXED_ROW_CASES = {
+    "free_node_after_the_constrained_ones": (
+        "E", 6, 3, "h1=2,h6=1,h0=4", lambda p: max(p.free_nodes) > max(p.constrained_nodes)),
+    "free_nodes_only": ("E", 6, 3, "h6=1,h0=0", lambda p: p.free_nodes and not p.constrained_nodes),
+    "no_variable": ("B", 3, 3, "h0=0", lambda p: not p.variables),
+}
+
+
+@pytest.mark.parametrize("case", FIXED_ROW_CASES.values(), ids=FIXED_ROW_CASES)
+def test_alambda_rows_match_the_list_renderer_on_fixed_cases(case):
+    type_letter, rank, node, weight, shape = case
+    pair = build_pair(type_letter, node, rank=rank)
+    lam = Weight0.parse(weight)
+    assert shape(presentation(pair, lam))
+    assert_rows_match_the_list_renderer(pair, lam, 6)
 
 
 # D12 at node 6 with the same weight w on every node and h0 = 4 w: 1555961
