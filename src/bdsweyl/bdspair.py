@@ -3,7 +3,7 @@
 Given a simple root system and a node j whose mark a_j is at least 2, this
 module constructs the fixed-point data of the associated finite-order
 automorphism: the simple system Delta_0 = {alpha_i : i != j} u {alpha_0}
-with alpha_0 = w_par^{-1}(theta), the grading of the roots by a_j(alpha)
+with alpha_0 = w_J(theta), J = I(j), the grading of the roots by a_j(alpha)
 mod a_j, the dominant elements theta_k of each graded piece, and the
 reflection chain from alpha_0 down to a simple root.  All of it is fixed by
 the value (type, rank, j), so `build_pair` builds one pair per value and
@@ -53,9 +53,9 @@ class BdsPair:
         self.j = j
         self.a_j = a_j
         self.i_complement = tuple(i for i in rs.nodes if i != j)
-        self._parabolic_word = rs.longest_parabolic_word(self.i_complement)
-        # alpha_0 = w_par^{-1}(theta); the longest element is an involution
-        self.alpha0: Root = rs.apply_word(tuple(reversed(self._parabolic_word)), rs.theta)
+        # alpha_0 = w_J(theta), J = I(j), the lowest weight of the irreducible Levi module
+        # {alpha : a_j(alpha) = a_j}: its root of least height, as `_check_alpha0` certifies
+        self.alpha0: Root = min((a for a in rs.positive_roots if a[j - 1] == a_j), key=sum)
         self._check_alpha0()
         self.marks_alpha0 = self.alpha0
         self.comarks_alpha0 = rs.coroot_coordinates(self.alpha0)

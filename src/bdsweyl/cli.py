@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import garland, weylcrit
 from .bdspair import BdsPair, build_pair, eligible_nodes
-from .rootsys import build, format_root, validate_type
+from .rootsys import build, format_root
 from .srring import (HilbertSeries, SRPresentation, SRVariable, Weight0, parse_weight_spec,
                      presentation)
 from .verify import draw_eval_params, run_all
@@ -146,7 +146,6 @@ def _json(obj) -> list[str | _Joined]:
 
 
 def _resolve_pair(args) -> BdsPair:
-    validate_type(args.type, args.rank)
     rs = build(args.type, args.rank)
     if args.node is None:
         raise ValueError(f"--node is required; eligible nodes: {list(eligible_nodes(rs))}")
@@ -193,12 +192,11 @@ def cmd_pair(args):
         f"g0 components: {', '.join(pair.g0_components)}",
         f"comarks of alpha0: {list(pair.comarks_alpha0)}",
         "graded root counts: " + ", ".join(
-            f"|R_{k}| = {len(pair.graded_roots(k))}" for k in range(pair.a_j)),
+            f"|R_{k}| = {size}" for k, size in enumerate(payload["graded_sizes"])),
+        *(f"theta_{k} = {format_root(th)}" for k, th in enumerate(payload["thetas"], start=1)),
+        "reflection chain nodes: " + "-".join(map(str, payload["chain_nodes"])),
+        "graded dims s=0..%d: %s" % (2 * pair.a_j - 1, payload["graded_dims"]),
     ]
-    for k in range(1, pair.a_j):
-        text.append(f"theta_{k} = {format_root(pair.theta_k(k))}")
-    text.append("reflection chain nodes: " + "-".join(map(str, payload["chain_nodes"])))
-    text.append("graded dims s=0..%d: %s" % (2 * pair.a_j - 1, payload["graded_dims"]))
     return payload, text, 0
 
 

@@ -3,9 +3,10 @@
 Roots are stored as integer coordinate vectors in the simple-root basis
 (Bourbaki node numbering, nodes are 1-based).  The bilinear form is the
 symmetrized Cartan form normalized so that long roots have squared length 2.
-With L = lcm(d_i) the scaled form L * (a, b) is an integer on the root
-lattice (`RootSystem.form`), and it only measures lengths: d_alpha, the check
-(theta, theta) = 2 and the value of `inner`.  Pairings are Cartan-row sums,
+With L = lcm(d_i) the scaled form L * (a, b) = sum_p a_p (L / d_p) <b, alpha_p^vee>
+is an integer on the root lattice (`RootSystem.form`), read from the pairing
+row of b, and it only measures lengths: d_alpha, the check (theta, theta) = 2
+and the value of `inner`.  Pairings are Cartan-row sums,
 not quotients: <v, alpha_i^vee> is a Cartan row, and a pairing with any
 coroot sums the rows over its coroot coefficients.  The reflection closure
 that finds the roots computes the row (<alpha, alpha_i^vee>)_i of each root
@@ -28,7 +29,6 @@ from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 Root = Tuple[int, ...]
-WeylWord = Tuple[int, ...]
 
 CLASSICAL_MAX_RANK = 12
 
@@ -121,15 +121,13 @@ class RootSystem:
     """Immutable root system of a simple Lie algebra, nodes numbered per Bourbaki."""
 
     def __init__(self, type_letter: str, rank: int):
-        validate_type(type_letter, rank)
         self.type_letter = type_letter
         self.rank = rank
         self.cartan = cartan_matrix(type_letter, rank)
         self.d = symmetrizer(self.cartan)
-        # L * (alpha_p, alpha_q) = (L / d_p) * C[p][q], with L = lcm(d)
+        # L * (alpha_p, b) = (L / d_p) * <b, alpha_p^vee>, with L = lcm(d)
         self.scale = lcm(*self.d)
-        self.gram = tuple(tuple(self.scale // dp * c for c in row)
-                          for dp, row in zip(self.d, self.cartan))
+        self._l_over_d = tuple(self.scale // dp for dp in self.d)
         self._simple_roots = tuple(tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank))
         self._rows = self._close_roots()
         self.roots = tuple(sorted(self._rows))
@@ -186,13 +184,9 @@ class RootSystem:
     # -- bilinear form and coroots ---------------------------------------
 
     def form(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """L * (a, b): the integer form on the root lattice, L = `scale`."""
-        total = 0
-        for p, ap in enumerate(a):
-            if ap:
-                row = self.gram[p]
-                total += ap * sum(row[q] * bq for q, bq in enumerate(b) if bq)
-        return total
+        """L * (a, b) = sum_p a_p (L / d_p) <b, alpha_p^vee>: the integer form on the
+        root lattice, L = `scale`, read from the pairing row of b."""
+        return sum(ap * w * c for ap, w, c in zip(a, self._l_over_d, self.pairings(b)))
 
     def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
         """Bilinear form on the root lattice, (theta, theta) = 2."""
@@ -228,39 +222,6 @@ class RootSystem:
         out = list(v)
         out[i - 1] -= coeff
         return tuple(out)
-
-    def apply_word(self, word: Sequence[int], v: Sequence[int]) -> Root:
-        """Apply a word of simple reflections; the first index in the word acts first."""
-        out = tuple(v)
-        for i in word:
-            out = self.reflect(i, out)
-        return out
-
-    def reflect_weight(self, i: int, mu: Sequence[int]) -> tuple[int, ...]:
-        """s_i on a weight given by its coroot values (mu_k = <mu, alpha_k^vee>)."""
-        mi = mu[i - 1]
-        return tuple(mu[k] - mi * self.cartan[k][i - 1] for k in range(self.rank))
-
-    def longest_parabolic_word(self, J: Iterable[int]) -> WeylWord:
-        """A reduced word for the longest element of the parabolic subgroup on J.
-
-        Computed by pushing the J-restricted Weyl vector to the antidominant
-        chamber, smallest admissible node first.  The result is an involution,
-        so the same word also represents its inverse.
-        """
-        Jset = sorted(set(J))
-        for i in Jset:
-            if i not in self.nodes:
-                raise ValueError(f"node {i} out of range 1..{self.rank}")
-        mu = tuple(1 if i in Jset else 0 for i in self.nodes)
-        word: list[int] = []
-        while True:
-            i = next((i for i in Jset if mu[i - 1] > 0), None)
-            if i is None:
-                break
-            word.append(i)
-            mu = self.reflect_weight(i, mu)
-        return tuple(word)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_letter}{self.rank}, {len(self.roots)} roots)"

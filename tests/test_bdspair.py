@@ -133,7 +133,7 @@ def test_g2_pairs():
 
 
 def test_alpha0_matches_scan_oracle():
-    for pair in all_pairs(6):
+    for pair in all_pairs(12):
         assert pair.alpha0 == alpha0_by_scan(pair.rs, pair.j)
 
 

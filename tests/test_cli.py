@@ -56,6 +56,14 @@ def test_pair_invalid_rank_exits_2(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("pair", "E", "9", "--node", "2"), "error: type E requires rank in [6, 8], got 9\n"),
+    (("alambda", "A", "0", "--node", "1"), "error: type A requires rank in [1, 12], got 0\n"),
+])
+def test_rank_outside_its_type_exits_2_with_one_message(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_missing_node_reports_eligible(capsys):
     code, _, err = run(capsys, "pair", "B", "3")
     assert code == 2

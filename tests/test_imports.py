@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every function,
 method and class it defines is reached from somewhere, only the modules
 whose values can be non-integral import `fractions`, none imports
-`dataclasses`, and the golden corpus runs without loading `argparse`."""
+`dataclasses`, the golden corpus runs without loading `argparse`, and every
+name the docs cite through a module of the package resolves."""
 
 import ast
 import importlib
@@ -178,3 +179,33 @@ def test_every_public_name_resolves_in_its_home_module():
         bdsweyl.no_such_name
     with pytest.raises(ImportError):
         exec("from bdsweyl import no_such_name", {})
+
+
+ROOT = Path(__file__).parents[1]
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+
+def doc_references(text: str) -> list[str]:
+    """The backticked dotted names in `text` that start with a module or a public
+    name of the package, like `srring.MAX_FACETS` or `RootSystem.form`; a file
+    name like `cli.py` is none."""
+    heads = {p.stem for p in MODULES} | set(bdsweyl.__all__)
+    return [ref for ref in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text)
+            if ref.split(".")[0] in heads and not ref.endswith(".py")]
+
+
+def test_guard_sees_doc_references():
+    text = ("`srring.MAX_FACETS`, `cli._write`, `RootSystem.form`, `garland.py`, `json.dumps`, "
+            "`cli.main(argv)`, `rootsys`")
+    assert doc_references(text) == ["srring.MAX_FACETS", "cli._write", "RootSystem.form"]
+
+
+def test_every_dotted_reference_in_the_docs_resolves():
+    refs = [(path.name, ref) for path in DOCS for ref in doc_references(path.read_text())]
+    assert refs
+    for doc, ref in refs:
+        head, *attrs = ref.split(".")
+        obj = getattr(bdsweyl, head) if head in bdsweyl.__all__ else importlib.import_module(f"bdsweyl.{head}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{doc}: `{ref}` does not resolve"
+            obj = getattr(obj, attr)

@@ -110,7 +110,6 @@ def test_reflections():
     b3 = build("B", 3)
     assert b3.reflect(3, b3.simple_root(3)) == (0, 0, -1)
     assert b3.reflect(3, b3.simple_root(2)) == (0, 1, 2)  # <a2, a3^vee> = -2
-    assert b3.apply_word((), (1, 1, 1)) == (1, 1, 1)
     for rs in all_systems(max_rank=5):
         rng = random.Random(11)
         for _ in range(20):
@@ -163,22 +162,6 @@ def test_build_is_one_system_per_value():
         own.simple_root(0)
     with pytest.raises(ValueError, match="out of range"):
         own.simple_root(4)
-
-
-def test_longest_parabolic_word():
-    b3 = build("B", 3)
-    assert b3.longest_parabolic_word(()) == ()
-    a2 = build("A", 2)
-    assert a2.longest_parabolic_word([1]) == (1,)
-    w = b3.longest_parabolic_word([1, 2])
-    img = b3.apply_word(w, b3.simple_root(1))
-    assert img in {(-1, 0, 0), (0, -1, 0)}
-    for rs in all_systems(max_rank=6):
-        nodes = list(rs.nodes)
-        for J in ([nodes[0]], nodes[:-1], nodes):
-            w = rs.longest_parabolic_word(J)
-            images = {rs.apply_word(w, rs.simple_root(i)) for i in J}
-            assert images == {tuple(-x for x in rs.simple_root(i)) for i in J}
 
 
 def weyl_dim(rs, lam):
