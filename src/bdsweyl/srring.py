@@ -13,12 +13,14 @@ The t-degree of P[i,r] is a_j * r.  A set sigma of variables is a face iff
     sum_i comark_i(alpha_0) * max{r : P[i,r] in sigma} <= lam(h_0),
 
 and the minimal generators are the inclusion-minimal violating sets, which
-take at most one variable per node.
+take at most one variable per node.  So every degree is a multiple of a_j:
+the Hilbert route works in q = t^{a_j} and spreads its result to t at the end.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
@@ -28,10 +30,11 @@ from .bdspair import BdsPair
 from .rootsys import format_terms, frozen, require
 
 # Largest accepted sum of the variable degrees, sum_i a_j * cap_i (cap_i + 1) / 2.
-# That sum is the degree of the Hilbert series denominator and bounds the
+# That sum is the t-degree of the Hilbert series denominator and bounds the
 # length of the unreduced numerator, so a presentation over it is refused
 # before anything is enumerated.  It also bounds the truncation degree, the
-# length of every expanded series.
+# length of every expanded series.  It is stated in t; the q-lists of the
+# Hilbert route are that length over a_j.
 MAX_NUMERATOR_LENGTH = 100_000
 
 # Largest accepted number of facets.  `facet_count` counts them by a DP before
@@ -179,7 +182,7 @@ def find_shelling(complex_: SimplicialComplex) -> tuple[frozenset, ...] | None:
 
 @frozen
 class ClosedForm(NamedTuple):
-    """Rational form numerator / prod_d (1 - t^d), d over `denominator`."""
+    """Rational form numerator / prod_d (1 - x^d), d over `denominator`; x is q = t^{a_j} or t."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
@@ -520,34 +523,40 @@ class SRPresentation:
     # -- Hilbert series --------------------------------------------------------
 
     def hilbert_series(self, D: int) -> HilbertSeries:
-        """Graded dimensions to degree D, expanded from the rational form
-        N(t) / prod_v (1 - t^deg v) built by `_closed_form`.
+        """Graded dimensions to degree D, expanded once from the rational form
+        N(q) / prod_v (1 - q^level v) in q = t^{a_j} built by `_closed_form`.
 
-        N is truncated at degree D unless jac_zero holds.  When it does, the
-        form is reduced by cancelling denominator factors and returned as
-        `closed_form`, checked against the expansion up to degree D.
+        N is truncated at q-degree D // a_j unless jac_zero holds.  Then the
+        form is reduced by cancelling factors, checked by the exact identity
+        N_red * prod(cancelled) = N (so the two agree at every degree) and
+        expanded; it is spread to t, as the series is, and is `closed_form`.
         """
         if D < 0:
             raise ValueError("truncation degree must be >= 0")
         if D > MAX_NUMERATOR_LENGTH:
             raise ValueError(f"truncation degree {D} is above the limit {MAX_NUMERATOR_LENGTH}")
-        unreduced = self._closed_form(D)
-        coeffs = unreduced.coefficients(D)
-        closed = None
+        a_j = self.pair.a_j
+        form, closed = self._closed_form(D // a_j), None
         if self.jac_zero:
-            closed = ClosedForm(*map(tuple, _cancel(unreduced.numerator, unreduced.denominator)))
-            require(closed.coefficients(D) == coeffs, "hilbert_series: closed form != expansion")
-        return HilbertSeries(D, coeffs, closed)
+            num, left = _cancel(form.numerator, form.denominator)
+            cancelled = Counter(form.denominator)
+            cancelled.subtract(left)  # a negative count: a factor left that was never there
+            back = reduce(_times_one_minus_td, cancelled.elements(), num)
+            require(min(cancelled.values(), default=0) >= 0
+                    and _trim(back) == _trim(list(form.numerator)),
+                    "hilbert_series: closed form != expansion")
+            form = ClosedForm(tuple(num), tuple(left))
+            closed = ClosedForm(_spread(num, a_j, a_j * len(num) - a_j + 1), tuple(a_j * d for d in left))
+        return HilbertSeries(D, _spread(form.coefficients(D // a_j), a_j, D + 1), closed)
 
     def _closed_form(self, D: int) -> ClosedForm:
-        """Unreduced rational form: a budget DP over the constrained nodes.
+        """Unreduced rational form in q = t^{a_j}: a budget DP over the constrained nodes.
 
         A monomial in the quotient is nonzero iff its support is a face, and a
         face is fixed by its top level m at each constrained node.  Over the
-        denominator prod_{r<=cap} (1 - t^{a_j r}), top level m at node i
-        contributes t^{a_j m} Q_m, where Q_M = prod_{M<r<=cap} (1 - t^{a_j r});
-        free nodes contribute 1.  Since Q_{m-1} = Q_m (1 - t^{a_j m}), that
-        term is Q_m - Q_{m-1} (with Q_{-1} = 0).
+        denominator prod_{r<=cap} (1 - q^r), top level m at node i contributes
+        q^m Q_m = Q_m - Q_{m-1}, where Q_M = prod_{M<r<=cap} (1 - q^r) and Q_{-1}
+        = 0; free nodes contribute 1.
 
         The DP maps the budget of lam(h_0) still left, clamped to rest (the sum
         of w * cap over the constrained nodes not yet placed), to the sum of
@@ -558,13 +567,12 @@ class SRPresentation:
         s_m - s_{m+1} (0 for an absent state or m > cap).  Key rest takes each
         old state once, at the largest level whose key is clamped (those levels
         telescope).  Each new key sums its coefficients times the Q_m by
-        Horner's rule, in sparse steps (1 - t^d), so no product is dense.  At
-        the last node rest is 0 and key 0 holds N.  The nodes go in order of
-        cap, the largest last, so the largest cap takes one Horner pass.  N is
-        truncated at degree D unless jac_zero.
+        Horner's rule, in sparse steps (1 - q^d), so no product is dense.  At
+        the last node rest is 0 and key 0 holds N, truncated at q-degree D
+        unless jac_zero.  The nodes go in order of cap, the largest last, so the
+        largest cap takes one Horner pass.
         """
         cut = None if self.jac_zero else D
-        a_j = self.pair.a_j
         nodes = sorted(self.constrained_nodes, key=lambda i: self.caps[i])
         rest = sum(self.comarks[i - 1] * self.caps[i] for i in nodes)
         states = {min(self.h0, rest): [1]}
@@ -582,7 +590,7 @@ class SRPresentation:
             num = None
             for m in range(cap + 1):  # key rest: the coefficient of Q_m is at_rest[m]
                 if num is not None:
-                    num = _times_one_minus_td(num, a_j * m, cut)
+                    num = _times_one_minus_td(num, m, cut)
                 if m in at_rest:
                     num = at_rest[m] if num is None else _add(num, at_rest[m])
             new = {} if num is None else {rest: num}
@@ -591,14 +599,14 @@ class SRPresentation:
                 for m in range(cap + 1):  # the coefficient of Q_m is s - nxt
                     nxt = states.get(key + w * (m + 1)) if m < cap else None
                     if num is not None:
-                        num = _times_one_minus_td(num, a_j * m, cut)
+                        num = _times_one_minus_td(num, m, cut)
                     if s is not None or nxt is not None:
                         c = s if nxt is None else _sub(s or [], nxt)
                         num = c if num is None else _add(num, c)
                     s = nxt
                 new[key] = num
             states = new
-        return ClosedForm(tuple(states[0]), tuple(sorted(v.degree for v in self.variables)))
+        return ClosedForm(tuple(states[0]), tuple(sorted(v.level for v in self.variables)))
 
     # -- shelling ---------------------------------------------------------------
 
@@ -685,7 +693,7 @@ def hilbert_series_bruteforce(pres: SRPresentation, D: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-# -- small integer-polynomial helpers (coefficient lists in t) ---------------
+# -- small integer-polynomial helpers (coefficient lists in q or t) ----------
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:
@@ -699,11 +707,18 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
 
 
 def _times_one_minus_td(p: list[int], d: int, D: int | None = None) -> list[int]:
-    """p * (1 - t^d) in O(len(p)) steps, truncated at degree D when D is given."""
+    """p * (1 - x^d) in O(len(p)) steps, truncated at degree D when D is given."""
     n = len(p) + d if D is None else min(len(p) + d, D + 1)
     h = min(d, n)  # the head, where the product is p alone
     return [*p[:h], *repeat(0, h - len(p)),
             *map(sub, p[d:n], p), *map(neg, p[max(len(p) - d, 0):n - h])]
+
+
+def _spread(p: Sequence[int], a: int, n: int) -> tuple[int, ...]:
+    """The first n coefficients of p(t^a): a - 1 zeros after each entry of p."""
+    out = [0] * n
+    out[::a] = p
+    return tuple(out)
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -713,20 +728,21 @@ def _trim(p: list[int]) -> list[int]:
 
 
 def _cancel(num: Sequence[int], denom: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Cancel from num / prod (1 - t^d) every factor that divides num, the
+    """Cancel from num / prod (1 - x^d) every factor that divides num, the
     largest d first; returns the numerator and the factors left, sorted.
 
-    (1 - t^d) divides N iff each residue class N[r::d] sums to 0, and then the
+    (1 - x^d) divides N iff each residue class N[r::d] sums to 0, and then the
     quotient is the running sums of each class with its last (zero) entry
-    dropped.  A failed division costs d sums over slices and no Python loop
-    over the coefficients.  A zero numerator is divided by every factor; an
-    empty one by none.
+    dropped.  A failed division costs at most d sums over slices, and most
+    stop at the first class, N[::d]; no Python loop runs over the
+    coefficients.  A zero numerator is divided by every factor; an empty one
+    by none.
     """
     num = _trim(list(num))
     remaining: list[int] = []
     for d in sorted(denom, reverse=True):
         n = len(num)
-        if not num or any(sum(num[r::d]) for r in range(min(d, n))):
+        if not num or sum(num[::d]) or any(sum(num[r::d]) for r in range(1, min(d, n))):
             remaining.append(d)
             continue
         q = num[:]

@@ -370,6 +370,21 @@ def test_bad_hilbert_series_is_refused_under_optimized_mode():
     assert "AssertionError: Hilbert series: constant coefficient 2 != 1" in proc.stderr
 
 
+def test_wrong_cancellation_is_refused_under_optimized_mode():
+    # _cancel drops a denominator factor without dividing the numerator: the
+    # identity N_red * prod(cancelled factors) = N fails before any byte is written
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "cancel = srring._cancel\n"
+                         "srring._cancel = lambda num, den: (lambda n, left: (n, left[1:]))"
+                         "(*cancel(num, den))\n"
+                         "sys.exit(cli.main(['hilbert', 'B', '4', '--node', '4',"
+                         " '--weight', 'h1=2,h3=1,h0=3', '--degree', '20']))\n")
+    assert proc.returncode == 1
+    assert proc.stderr == "property failure: hilbert_series: closed form != expansion\n"
+    assert proc.stdout == ""
+
+
 # B7 at node 3: comark 2 at j, 10 facets, the first with top levels (2, 0, 0, 0)
 B7_TOPS = ("from bdsweyl.bdspair import build_pair\n"
            "from bdsweyl.srring import Weight0, presentation\n"

@@ -26,6 +26,7 @@ from bdsweyl.srring import (
     verify_shelling,
     _add,
     _cancel,
+    _spread,
     _sub,
     _times_one_minus_td,
     _trim,
@@ -640,6 +641,12 @@ def closed_form_by_levels(pres, D, nodes):
                       tuple(sorted(v.degree for v in pres.variables)))
 
 
+def spread_to_t(form, a_j):
+    """A form in q = t^{a_j} written in t."""
+    num = form.numerator
+    return ClosedForm(_spread(num, a_j, a_j * len(num) - a_j + 1), tuple(a_j * d for d in form.denominator))
+
+
 PAIRS_6_BY_JAC_ZERO = {side: [p for p in ALL_PAIRS_6 if (p.comarks_alpha0[p.j - 1] == 1) == side]
                        for side in (True, False)}
 
@@ -654,33 +661,58 @@ def test_telescoped_closed_form_matches_level_dp(jac_zero, data):
     pres = presentation(pair, lam)
     assert pres.jac_zero == jac_zero
     order = data.draw(st.permutations(pres.constrained_nodes), label="order")
-    form, oracle = pres._closed_form(D), closed_form_by_levels(pres, D, order)
+    # the DP runs in q = t^{a_j}, truncated at q-degree D // a_j; the oracle in t
+    a_j = pair.a_j
+    q_form, oracle = pres._closed_form(D // a_j), closed_form_by_levels(pres, D, order)
     # the step shares state lists by reference, so no list helper may write to
     # an argument: a second run gives the same form, and the helpers leave
     # both arguments as they were
-    assert pres._closed_form(D) == form
-    num = list(form.numerator)
+    assert pres._closed_form(D // a_j) == q_form
+    num = list(q_form.numerator)
     head = num[:len(num) // 2 + 1]
     kept = (num[:], head[:])
     for helper in (_add, _sub):
         helper(num, head)
         helper(head, num)
     assert (num, head) == kept
+    form = spread_to_t(q_form, a_j)
     assert form.denominator == oracle.denominator
     assert form.coefficients(D) == oracle.coefficients(D)
     assert _trim(list(form.numerator)) == _trim(list(oracle.numerator))
     if jac_zero:
         assert _cancel(form.numerator, form.denominator) == _cancel(oracle.numerator, oracle.denominator)
+        # cancelling in q and spreading is cancelling in t
+        reduced = spread_to_t(ClosedForm(*map(tuple, _cancel(q_form.numerator, q_form.denominator))), a_j)
+        assert (list(reduced.numerator), list(reduced.denominator)) == _cancel(oracle.numerator,
+                                                                               oracle.denominator)
+
+
+PAIRS_8_JAC_ZERO = [p for p in all_pairs(8) if p.comarks_alpha0[p.j - 1] == 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_q_route_matches_level_dp_and_closed_form_holds_past_the_truncation(data):
+    # D need not be a multiple of a_j (2 or 3 here): the series has zeros there
+    pair = data.draw(st.sampled_from(PAIRS_8_JAC_ZERO), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 6), label=f"h{k}") for k in pair.delta0_labels})
+    D = data.draw(st.integers(0, 40), label="D")
+    pres = presentation(pair, lam)
+    hs = pres.hilbert_series(D)
+    assert hs.coefficients == closed_form_by_levels(pres, D, pres.constrained_nodes).coefficients(D)
+    # the printed closed form is the whole series, not only its first D + 1 terms
+    assert hs.closed_form.coefficients(3 * D + 10) == pres.hilbert_series(3 * D + 10).coefficients
 
 
 def test_closed_form_holds_no_per_level_coefficient_lists():
     # C8 at the middle node, four constrained nodes of cap 12: holding a
     # coefficient list per (new key, level) until the Horner pass peaks at
-    # about 2.5 MiB here; the old and new states alone take about 0.6 MiB.
+    # about 2.5 MiB here in t; the old and new states alone took about 0.6 MiB
+    # in t.  a_j = 2, so t-degree 20 is q-degree 10.
     pres = presentation(build_pair("C", 4, rank=8), Weight0({5: 12, 6: 12, 7: 12, 8: 12, 0: 24}))
     tracemalloc.start()
     try:
-        pres._closed_form(20)
+        pres._closed_form(10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
