@@ -16,8 +16,9 @@ payload, the text report as its lines.  The alambda presentation string
 C[vars] / (gens) and the facet and generator lists are `_Joined` parts: while
 they are written, memory holds the payload without them, plus the
 presentation's level tuples and per-node string tables, and each monomial or
-row is made as it is written, in writes of about `_CHUNK` characters.  Each
-entry of a row table starts with its own separator, so one `_rows` makes
+row is made as it is written, in writes of about `_CHUNK` characters.  The
+tables are those of `SRPresentation.facet_tables` and `generator_tables`.
+Each unit of a row table starts with its own separator, so one `_rows` makes
 every facet and generator row with one join; the presentation's monomials
 are joined directly from label tables that have no separator.
 """
@@ -28,7 +29,6 @@ import os
 import random
 import sys
 from functools import lru_cache
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import getitem
 from types import SimpleNamespace
@@ -225,26 +225,26 @@ _JSON_LIST = ("[" + _ROW_PAD, "," + _ROW_PAD, "\n  ]", "[]")
 _TEXT_ROW = ("{", ", ", "}", "{}")
 
 
-def _json_item(v: SRVariable) -> str:
-    return _render([v.node, v.level], _ITEM_PAD)
+def _json_unit(v: SRVariable) -> str:
+    """[node, level] as an item of a JSON row, after its separator."""
+    return _JSON_ROW[1] + _render([v.node, v.level], _ITEM_PAD)
 
 
-def _tables(pres: SRPresentation, item: Callable[[SRVariable], str], sep: str) -> list[list[str]]:
-    """The string table of each constrained node, in order: "" at level 0,
-    then sep + item(P[i, r]) at each level r."""
-    return [["", *(sep + item(v) for v in pres._by_node[i])] for i in pres.constrained_nodes]
+def _text_unit(v: SRVariable) -> str:
+    """P(node,level) as an item of a text facet, after its separator."""
+    return _TEXT_ROW[1] + v.label()
 
 
 def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
           brackets: tuple[str, str, str, str]) -> Iterator[str]:
     """The rows, each rendered when the iteration reaches it.
 
-    Every nonempty table entry, and `tail`, starts with its own separator.
+    The tables, keys and tail are those `SRPresentation.facet_tables` or
+    `generator_tables` gives for units that start with their own separator.
     So the row of key tuple t is its body, the entries `tables[k][t[k]]` and
     then `tail` in one join, with the leading separator cut, in the brackets
-    (open, sep, close, empty): `empty` when the body is "".  The tables are
-    per-node string tables and the keys the presentation's own tuples, so no
-    row text is held: `_write` writes each row as it is made.
+    (open, sep, close, empty): `empty` when the body is "".  No row text is
+    held: `_write` writes each row as it is made.
     """
     open_, sep, close, empty = brackets
     cut = len(sep)
@@ -253,40 +253,13 @@ def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
         yield open_ + body[cut:] + close if body else empty
 
 
-def _facet_rows(pres: SRPresentation, item: Callable[[SRVariable], str],
-                brackets: tuple[str, str, str, str]) -> Iterator[str]:
-    """The row of each facet, read from its top-level tuple in `pres._tops`,
-    in that order (no frozenset is built).
-
-    A facet is P[i, 1..t_i] at each constrained node, t its top-level tuple,
-    plus every variable of each free node.  So the table of a constrained
-    node holds, at each level m, the text of the free nodes since the last
-    constrained node and then of P[i, 1..m], each item after its separator;
-    the free nodes after the last constrained node are the row's tail.  A
-    node with cap 0 adds "".  `_tops`, with its checks, is read here, before
-    any row is made.
-    """
-    sep = brackets[1]
-    constrained = set(pres.constrained_nodes)
-    tables: list[list[str]] = []
-    fixed = ""  # the text of the free nodes not yet joined into a table
-    for i in pres.pair.rs.nodes:
-        prefixes = list(accumulate((sep + item(v) for v in pres._by_node[i]), initial=""))
-        if i in constrained:
-            tables.append([fixed + p for p in prefixes])
-            fixed = ""
-        else:
-            fixed += prefixes[-1]
-    return _rows(tables, pres._tops, fixed, brackets)
-
-
 def _presentation(pres: SRPresentation, lead: str, tail: str) -> _Joined:
     """lead + "C[vars] / (gens)" + tail, gens (or "-") the monomials of the
-    generators in their order, each joined from the label tables of `_tables`
-    when `_write` reaches it."""
+    generators in their order, each joined from the label tables of
+    `SRPresentation.generator_tables` when `_write` reaches it."""
     head = f"{lead}C[{', '.join(v.label() for v in pres.variables) or '-'}] / ("
-    tables = _tables(pres, SRVariable.label, "")
-    monomials = ("".join(map(getitem, tables, levels)) for levels in pres._generator_levels)
+    tables, keys, _ = pres.generator_tables(SRVariable.label, "")
+    monomials = ("".join(map(getitem, tables, levels)) for levels in keys)
     return _Joined(monomials, head, ", ", ")" + tail, head + "-)" + tail)
 
 
@@ -320,9 +293,9 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
     or '\\', so in quotes it is already its JSON string."""
     out = _presentation_summary(pres, degree)
     out["presentation"] = _presentation(pres, '"', '"')
-    out["facets"] = _Joined(_facet_rows(pres, _json_item, _JSON_ROW), *_JSON_LIST)
-    gens = _rows(_tables(pres, _json_item, _JSON_ROW[1]), pres._generator_levels, "", _JSON_ROW)
-    out["generators"] = _Joined(gens, *_JSON_LIST)
+    out["facets"] = _Joined(_rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW), *_JSON_LIST)
+    out["generators"] = _Joined(_rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW),
+                                *_JSON_LIST)
     return out
 
 
@@ -340,7 +313,8 @@ def cmd_alambda(args):
         f"weight: {lam.format()}",
         _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
-        _Joined(_facet_rows(pres, SRVariable.label, _TEXT_ROW), "facets: ", "; ", "", "facets: {}"),
+        _Joined(_rows(*pres.facet_tables(_text_unit, ""), _TEXT_ROW),
+                "facets: ", "; ", "", "facets: {}"),
         f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
     ]
     if payload["hilbert"]["closed_form"]:

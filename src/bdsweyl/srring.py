@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, ge, getitem, gt, lt, mul, neg, sub
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -66,7 +66,7 @@ class Weight0(Mapping[int, int]):
     """Dominant integral weight for the fixed-point subalgebra.
 
     Keys are the Delta_0 labels: nodes i in I(j) for the values lam(h_i)
-    and 0 for lam(h_0).  Missing keys mean 0.
+    and 0 for lam(h_0).  A missing key reads 0 but is not `in` the weight.
     """
 
     def __init__(self, values: Mapping[int, int] | None = None):
@@ -85,6 +85,9 @@ class Weight0(Mapping[int, int]):
 
     def get(self, key: int, default: int = 0) -> int:
         return self._values.get(key, default)
+
+    def __contains__(self, key) -> bool:
+        return key in self._values
 
     def __iter__(self):
         return iter(sorted(self._values))
@@ -335,10 +338,15 @@ class SRPresentation:
         """Minimal generators of the monomial ideal: the inclusion-minimal
         sets of variables (one per node) whose weighted level sum exceeds
         lam(h_0), in the order of `_generator_levels`."""
-        # tables[k][r]: P[i, r] at the k-th constrained node i, None at r = 0
-        tables = [(None, *self._by_node[i]) for i in self.constrained_nodes]
-        return tuple(frozenset(filter(None, map(getitem, tables, levels)))
-                     for levels in self._generator_levels)
+        tables, keys, _ = self.generator_tables(lambda v: v, None)
+        return tuple(frozenset(filter(None, map(getitem, tables, levels))) for levels in keys)
+
+    def generator_tables(self, unit: Callable[[SRVariable], object], empty) -> tuple:
+        """The generator encoding (tables, keys, tail), the keys `_generator_levels`:
+        the k-th table holds `empty` at level 0, then unit(P[i, r]), and the
+        tail is `empty`.  So generator g is the entries `tables[k][g[k]]`."""
+        return ([[empty, *map(unit, self._by_node[i])] for i in self.constrained_nodes],
+                self._generator_levels, empty)
 
     @cached_property
     def _generator_levels(self) -> tuple[tuple[int, ...], ...]:
@@ -430,12 +438,11 @@ class SRPresentation:
         tuples differ, the larger top puts P[i, s + 1] where the other facet
         has a variable of a later node (it cannot end there, being maximal).
 
-        The facets stay these tuples on the query path: facet t is
-        `_free_members` plus P[i, 1..t_i] at each constrained node i, of size
-        len(_free_members) + sum(t).  After the walk each tuple is checked
-        maximal by that rule, the list strictly descending (`_check_tops`) and
-        as long as `facet_count`, so it is every facet once.  The checks go
-        through `require`, so they hold under `python -O`."""
+        The facets stay these tuples on the query path (`facet_tables`).  After
+        the walk each tuple is checked maximal by that rule, the list strictly
+        descending (`_check_tops`) and as long as `facet_count`, so it is every
+        facet once.  The checks go through `require`, so they hold under
+        `python -O`."""
         count = self.facet_count()
         if count > MAX_FACETS:
             raise ValueError(f"too many facets: the complex has {count}, above the limit "
@@ -479,25 +486,30 @@ class SRPresentation:
                     "facets: top levels {} are not maximal", t)
         require(all(map(gt, tops, tops[1:])), "facets: top-level tuples not strictly descending")
 
-    @cached_property
-    def _free_members(self) -> tuple[SRVariable, ...]:
-        """Every variable of the free nodes: a part of every facet."""
-        return tuple(v for i in self.free_nodes for v in self._by_node[i])
-
-    def _facet_from_tops(self, tops: Iterable[tuple[int, int]]) -> frozenset:
-        """The facet with top level m at each (node, m) of tops."""
-        by_node = self._by_node
-        members = list(self._free_members)
-        for i, m in tops:
-            members += by_node[i][:m]
-        return frozenset(members)
+    def facet_tables(self, unit: Callable[[SRVariable], object], empty) -> tuple:
+        """The facet encoding (tables, keys, tail), the keys `_tops`.  Entry m of
+        the k-th table, at constrained node i, sums from `empty` the units of the
+        free nodes since the constrained node before i, then of P[i, 1..m]; the
+        tail sums those after the last one.  So facet t is the entries
+        `tables[k][t[k]]` and the tail; a node of cap 0 adds `empty`."""
+        tops, constrained = self._tops, set(self.constrained_nodes)
+        tables, fixed = [], empty  # fixed: the free nodes not yet in a table
+        for i in self.pair.rs.nodes:
+            prefixes = list(accumulate(map(unit, self._by_node[i]), initial=empty))
+            if i in constrained:
+                tables.append([fixed + p for p in prefixes])
+                fixed = empty
+            else:
+                fixed += prefixes[-1]
+        return tables, tops, fixed
 
     @cached_property
     def _complex(self) -> SimplicialComplex:
         """The facets as frozensets in walk order, which is their sorted order
-        (`_tops`); `SimplicialComplex` checks them maximal by bitmasks."""
-        nodes = self.constrained_nodes
-        facets = tuple(self._facet_from_tops(zip(nodes, tops)) for tops in self._tops)
+        (`_tops`), built from 1-tuple units; `SimplicialComplex` checks them
+        maximal by bitmasks."""
+        tables, tops, tail = self.facet_tables(lambda v: (v,), ())
+        facets = tuple(frozenset(chain(tail, *map(getitem, tables, t))) for t in tops)
         return SimplicialComplex(self.variables, facets)
 
     def facets(self) -> SimplicialComplex:
@@ -510,7 +522,7 @@ class SRPresentation:
         """Krull dimension = maximal facet cardinality, read from `_tops`;
         checked against the closed form lam(h_0) + sum over mark-zero nodes
         when it applies."""
-        dim = len(self._free_members) + max(map(sum, self._tops))
+        dim = sum(self.caps[i] for i in self.free_nodes) + max(map(sum, self._tops))
         if self.jac_zero:
             d = self.d_lambda()
             require(dim == d, "krull_dim: maximal facet size {} != d_lambda {}", dim, d)
@@ -619,15 +631,16 @@ class SRPresentation:
             raise ValueError(
                 f"canonical shelling needs exactly two support nodes, got {self.support_nodes}")
         s = next(i for i in self.support_nodes if i != self.pair.j)
-        m = min(self.h0, self.lam[s])
-        order = []
-        for r in range(m + 1):
-            order.append(self._facet_from_tops(((self.pair.j, self.h0 - r), (s, r))))
+        # facet r has top level h0 - r at j and r at s, each 0 where the cap is;
+        # a level tuple that is no top gives None, which fails the first check
         complex_ = self.facets()
+        facet_of = dict(zip(self._tops, complex_.facets))
+        levels = [{self.pair.j: self.h0 - r, s: r} for r in range(min(self.h0, self.lam[s]) + 1)]
+        order = tuple(facet_of.get(tuple(map(lv.get, self.constrained_nodes))) for lv in levels)
         require(set(order) == set(complex_.facets), "canonical shelling: not the facet set")
         require(len(order) == len(complex_.facets), "canonical shelling: a facet listed twice")
         require(verify_shelling(complex_, order), "canonical shelling: order fails the shelling test")
-        return tuple(order)
+        return order
 
     def flags(self) -> dict:
         """Derived flags: jac_zero, koszul (True or None for unknown), purity,

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every function,
 method and class it defines is reached from somewhere, only the modules
 whose values can be non-integral import `fractions`, none imports
-`dataclasses`, the golden corpus runs without loading `argparse`, and every
-name the docs cite through a module of the package resolves."""
+`dataclasses`, the golden corpus runs without loading `argparse`, `cli`
+reads no private attribute of a presentation, and every name the docs cite
+through a module of the package resolves."""
 
 import ast
 import importlib
@@ -88,6 +89,36 @@ def test_every_definition_is_reached_from_src_all_or_the_bench():
     bench = {w for path in BENCH_NAMERS for w in re.findall(r"[A-Za-z_]\w*", path.read_text())}
     sources = [p.read_text() for p in MODULES + [Path(bdsweyl.__file__)]]
     assert unreached_definitions(sources, set(bdsweyl.__all__) | bench) == []
+
+
+def presentation_private_reads(source: str) -> tuple[set[str], list[str]]:
+    """The names source binds to a presentation, an argument annotated
+    `SRPresentation` or a name assigned a `presentation(...)` call, and the
+    `_`-prefixed attributes it reads on them."""
+    tree = ast.parse(source)
+    names = {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)
+             and isinstance(n.annotation, ast.Name) and n.annotation.id == "SRPresentation"}
+    names |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+              and isinstance(n.value, ast.Call) and isinstance(n.value.func, ast.Name)
+              and n.value.func.id == "presentation" for t in n.targets if isinstance(t, ast.Name)}
+    reads = sorted(f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                   and isinstance(n.value, ast.Name) and n.value.id in names)
+    return names, reads
+
+
+def test_guard_sees_private_reads_on_a_presentation():
+    source = ("def f(pres: SRPresentation, other: int):\n    return pres._tops, other._x\n"
+              "p = presentation(pair, lam)\np._by_node\np.variables\nq._x\n")
+    assert presentation_private_reads(source) == ({"pres", "p"}, ["p._by_node", "pres._tops"])
+
+
+def test_cli_reads_no_private_attribute_of_a_presentation():
+    # the facet and generator encodings are srring's: cli reads their tables
+    source = (Path(bdsweyl.__file__).parent / "cli.py").read_text()
+    names, reads = presentation_private_reads(source)
+    assert "pres" in names
+    assert reads == []
 
 
 # the symmetrizer and `inner`, the Garland coefficients, the evaluation

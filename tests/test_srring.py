@@ -5,7 +5,7 @@ import tracemalloc
 import weakref
 from functools import reduce
 from itertools import combinations, product, zip_longest
-from operator import sub
+from operator import getitem, sub
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +58,14 @@ def test_weight0_parse_and_format():
         Weight0.parse("h2=1,h2=5,h0=1")
     with pytest.raises(ValueError):
         Weight0({1: -1})
+
+
+def test_weight0_membership_is_its_keys():
+    # a missing key reads 0, but is not in the mapping
+    w = Weight0.parse("h2=1")
+    assert 2 in w and 0 not in w and 5 not in w and "x" not in w
+    assert w[5] == 0 and 5 not in w.keys()
+    assert set(w.keys()) == set(w) == {2}
 
 
 @settings(deadline=None)
@@ -282,6 +290,28 @@ def test_canonical_shelling_randomized():
             assert verify_shelling(sc, order)
 
 
+@pytest.mark.parametrize("type_, rank, node, spec, facets", [
+    # lam(h_s) = 0: s drops out of the constrained nodes
+    ("B", 3, 3, "h1=1,h0=2", [[(1, 1), (3, 1), (3, 2)]]),
+    ("B", 4, 4, "h1=1,h2=1,h0=2", [[(1, 1), (2, 1), (4, 1), (4, 2)]]),
+    # lam(h_0) = 0: both j and s drop out
+    ("B", 3, 3, "h1=1,h2=2", [[(1, 1)]]),
+    ("B", 4, 4, "h1=1,h2=1,h3=2", [[(1, 1), (2, 1)]]),
+    # both 0
+    ("B", 3, 3, "h1=1", [[(1, 1)]]),
+    ("B", 4, 4, "h2=1", [[(2, 1)]]),
+    # C3 at node 2: s = 3 comes after j among the constrained nodes
+    ("C", 3, 2, "h1=1,h0=2", [[(1, 1), (2, 1), (2, 2)]]),
+    ("C", 3, 2, "h3=2,h0=2", [[(2, 1), (2, 2)], [(2, 1), (3, 1)], [(3, 1), (3, 2)]]),
+])
+def test_canonical_shelling_with_a_cap_at_zero(type_, rank, node, spec, facets):
+    # the (j, s) levels of each facet are read at the constrained nodes only
+    pres = presentation(build_pair(type_, node, rank=rank), Weight0.parse(spec))
+    order = pres.canonical_shelling()
+    assert [sorted((v.node, v.level) for v in f) for f in order] == facets
+    assert verify_shelling(pres.facets(), order)
+
+
 def test_verify_shelling_single_facet():
     sc = SimplicialComplex((), (frozenset({1}),))
     assert verify_shelling(sc, [frozenset({1})])
@@ -489,9 +519,10 @@ ALL_PAIRS_8 = all_pairs(8)
 
 def facets_by_sorting(pres):
     """Oracle: the facet order before the walk order was kept, a set of the
-    walk's facets sorted as sorted variable lists."""
-    nodes = pres.constrained_nodes
-    return tuple(sorted({pres._facet_from_tops(zip(nodes, t)) for t in pres._tops},
+    walk's facets, summed from the tuple tables of `facet_tables`, sorted as
+    sorted variable lists."""
+    tables, tops, tail = pres.facet_tables(lambda v: (v,), ())
+    return tuple(sorted({frozenset(sum(map(getitem, tables, t), tail)) for t in tops},
                         key=lambda f: sorted(f)))
 
 
