@@ -274,12 +274,7 @@ def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
         "krull_dim": pres.krull_dim(),
         "d_lambda": pres.d_lambda() if pres.jac_zero else None,
         "hilbert": _hilbert_payload(pres.hilbert_series(degree)),
-        "flags": {
-            "jac_zero": flags["jac_zero"],
-            "koszul": "true" if flags["koszul"] else "unknown",
-            "pure": flags["pure"],
-            "cohen_macaulay_certified": flags["cohen_macaulay_certified"],
-        },
+        "flags": {**flags, "koszul": "true" if flags["koszul"] else "unknown"},
         "verdicts": {
             "alambda_trivial": weylcrit.is_alambda_trivial(pair, pres.lam),
             "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),

@@ -75,8 +75,7 @@ class HPoly:
     terms: gcd(den, every numerator) = 1, and no numerator is 0, so equal
     polynomials have equal (den, nums).  `deg` bounds the total degree from
     above.  Key tuples and `Fraction` appear only at the edges: the
-    constructor's input, `scale`'s argument, the `terms` view (decoded on
-    iteration, encoded on lookup) and `repr`.
+    constructor's input, `scale`'s argument, the `terms` dict and `repr`.
     """
 
     __slots__ = ("den", "nums", "deg")
@@ -114,9 +113,9 @@ class HPoly:
         return cls._make(den, nums, deg)
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only view of the coefficients as Fractions, keyed by key tuples."""
-        return _Terms(self)
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as Fractions, keyed by sorted key tuples, in a new dict."""
+        return {_decode(m): Fraction(c, self.den) for m, c in self.nums.items()}
 
     @classmethod
     def sum(cls, polys: Iterable["HPoly"]) -> "HPoly":
@@ -171,24 +170,6 @@ def _dot(pairs: Iterable[tuple[HPoly, HPoly]]) -> HPoly:
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
     return HPoly._reduced(den, out, deg)
-
-
-class _Terms(Mapping):
-    """The key tuple -> Fraction mapping of an HPoly, built on access: `len` decodes nothing."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: HPoly):
-        self._poly = poly
-
-    def __getitem__(self, m: Monomial) -> Fraction:
-        return Fraction(self._poly.nums[_encode(m)], self._poly.den)
-
-    def __iter__(self):
-        return map(_decode, self._poly.nums)
-
-    def __len__(self) -> int:
-        return len(self._poly.nums)
 
 
 def coroot(pair: BdsPair, alpha: Sequence[int]) -> Coroot:

@@ -624,21 +624,20 @@ class SRPresentation:
 
     def canonical_shelling(self) -> tuple[frozenset, ...]:
         """The explicit shelling available when the comark of alpha_0 at j is 1
-        and alpha_0 is supported on exactly two nodes {s, j}."""
+        and alpha_0 is supported on exactly two nodes {s, j}: facet r has top
+        level h0 - r at j and r at s, r = 0..min(h0, lam(h_s)).  Those are the
+        top-level tuples of sum h0, and `_tops` lists each facet once in
+        descending lexicographic order, so the shelling is the walk order when
+        j < s and its reverse when s < j."""
         if not self.jac_zero:
             raise ValueError("canonical shelling needs comark 1 at node j")
         if not self.two_support_nodes:
             raise ValueError(
                 f"canonical shelling needs exactly two support nodes, got {self.support_nodes}")
+        require(all(sum(t) == self.h0 for t in self._tops), "canonical shelling: not the facet set")
         s = next(i for i in self.support_nodes if i != self.pair.j)
-        # facet r has top level h0 - r at j and r at s, each 0 where the cap is;
-        # a level tuple that is no top gives None, which fails the first check
         complex_ = self.facets()
-        facet_of = dict(zip(self._tops, complex_.facets))
-        levels = [{self.pair.j: self.h0 - r, s: r} for r in range(min(self.h0, self.lam[s]) + 1)]
-        order = tuple(facet_of.get(tuple(map(lv.get, self.constrained_nodes))) for lv in levels)
-        require(set(order) == set(complex_.facets), "canonical shelling: not the facet set")
-        require(len(order) == len(complex_.facets), "canonical shelling: a facet listed twice")
+        order = complex_.facets if self.pair.j < s else complex_.facets[::-1]
         require(verify_shelling(complex_, order), "canonical shelling: order fails the shelling test")
         return order
 

@@ -439,6 +439,20 @@ def test_canonical_shelling_failure_survives_optimized_mode():
     assert proc.stdout == ""
 
 
+def test_canonical_shelling_tops_off_h0_refused_in_optimized_mode():
+    # every top-level tuple summing to h0 + 1: the complex still reads pure, so
+    # flags reaches the canonical branch, which refuses before building a facet
+    proc = run_optimized("import sys\n"
+                         "from bdsweyl import cli, srring\n"
+                         "srring.SRPresentation._tops = property("
+                         "lambda self: tuple((self.h0 + 1 - r, r) for r in range(2)))\n"
+                         "sys.exit(cli.main(['alambda', 'B', '3', '--node', '3',"
+                         " '--weight', 'h2=1,h0=1']))\n")
+    assert proc.returncode == 1
+    assert "property failure: canonical shelling: not the facet set" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_g0_coroot_failure_survives_optimized_mode():
     proc = run_optimized("import sys\n"
                          "from bdsweyl import cli\n"

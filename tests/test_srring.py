@@ -312,6 +312,28 @@ def test_canonical_shelling_with_a_cap_at_zero(type_, rank, node, spec, facets):
     assert verify_shelling(pres.facets(), order)
 
 
+PAIRS_12_TWO_SUPPORT_JAC_ZERO = [p for p in all_pairs(12) if p.comarks_alpha0[p.j - 1] == 1
+                                 and sum(m > 0 for m in p.marks_alpha0) == 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_shelling_is_the_papers_order(data):
+    # facet r has level h0 - r at j and r at s, r = 0..min(h0, lam(h_s)), both
+    # read at the constrained nodes only; B_n has s < j, C_n and G2 have j < s
+    pair = data.draw(st.sampled_from(PAIRS_12_TWO_SUPPORT_JAC_ZERO), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 6), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    s = next(i for i in pres.support_nodes if i != pair.j)
+    levels = [{pair.j: pres.h0 - r, s: r} for r in range(min(pres.h0, lam[s]) + 1)]
+    paper = [tuple(lv[i] for i in pres.constrained_nodes) for lv in levels]
+    order = pres.canonical_shelling()
+    assert [tuple(max((v.level for v in f if v.node == i), default=0) for i in pres.constrained_nodes)
+            for f in order] == paper
+    facets = pres.facets().facets
+    assert order in (facets, facets[::-1])
+
+
 def test_verify_shelling_single_facet():
     sc = SimplicialComplex((), (frozenset({1}),))
     assert verify_shelling(sc, [frozenset({1})])
