@@ -80,6 +80,12 @@ class BdsPair:
         """Node labels for Delta_0: the nodes of I(j) in order, then 0 for alpha_0."""
         return self.i_complement + (0,)
 
+    def check_delta0_keys(self, weight: Mapping[int, int]) -> None:
+        """Raise ValueError unless every key of `weight` is a Delta_0 label."""
+        bad = [k for k in weight if k not in self.delta0_labels]
+        if bad:
+            raise ValueError(f"weight keys {bad} are not Delta_0 labels of {self!r}")
+
     @cached_property
     def delta0(self) -> tuple[Root, ...]:
         return tuple(self.rs.simple_root(i) for i in self.i_complement) + (self.alpha0,)
@@ -232,9 +238,7 @@ class BdsPair:
         `weight` maps Delta_0 labels (I(j) and 0) to non-negative values;
         the result is multiplicative over the simple components.
         """
-        bad = [k for k in weight if k not in self.delta0_labels]
-        if bad:
-            raise ValueError(f"weight keys {bad} are not Delta_0 labels")
+        self.check_delta0_keys(weight)
         vals = [int(weight.get(label, 0)) for label in self.delta0_labels]
         if any(v < 0 for v in vals):
             raise ValueError(f"weight {weight} is not dominant for the subalgebra")

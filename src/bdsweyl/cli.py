@@ -8,19 +8,24 @@ reads an argv in the plain form from it, and any other argv goes to the
 argparse parser `build_parser` makes from it.
 Exit codes: 0 success, 1 property failure, 2 usage error.
 
-`main` writes to stdout only once the answer is computed: every flag, the
-Hilbert series, and for alambda the facet and generator tuples with their
-checks.  So an exit of 1 or 2 leaves stdout empty.  Both formats are then
-written by one writer, `_write`: the JSON as the parts `_json` makes of the
-payload, the text report as its lines.  The alambda presentation string
-C[vars] / (gens) and the facet and generator lists are `_Joined` parts: while
-they are written, memory holds the payload without them, plus the
-presentation's level tuples and per-node string tables, and each monomial or
-row is made as it is written, in writes of about `_CHUNK` characters.  The
-tables are those of `SRPresentation.facet_tables` and `generator_tables`.
-Each unit of a row table starts with its own separator, so one `_rows` makes
-every facet and generator row with one join; the presentation's monomials
-are joined directly from label tables that have no separator.
+Every `cmd_*` returns (payload, text, code): one payload for both formats,
+and `text` a callable that makes the text report's lines from it.  `main`
+alone reads `--format`, and calls `text` only for `--format text`, so JSON
+never builds the text report.  `main` writes to stdout only once the answer
+is computed: every flag, the Hilbert series, and for alambda the facet and
+generator tuples with their checks.  A failure in a subcommand or in its
+text report is caught by the same handler, so an exit of 1 or 2 leaves
+stdout empty.  Both formats are then written by one writer, `_write`: the
+JSON as the parts `_json` makes of the payload, the text report as its
+lines.  The alambda presentation string C[vars] / (gens) and the facet and
+generator lists are `_Joined` parts: while they are written, memory holds
+the payload without them, plus the presentation's level tuples and per-node
+string tables, and each monomial or row is made as it is written, in writes
+of about `_CHUNK` characters.  The tables are those of
+`SRPresentation.facet_tables` and `generator_tables`.  Each unit of a row
+table starts with its own separator, so one `_rows` makes every facet and
+generator row with one join; the presentation's monomials are joined
+directly from label tables that have no separator.
 """
 
 from __future__ import annotations
@@ -184,7 +189,7 @@ def _pair_payload(pair: BdsPair) -> dict:
 def cmd_pair(args):
     pair = _resolve_pair(args)
     payload = _pair_payload(pair)
-    text = [
+    return payload, lambda: [
         f"pair: {pair.rs.type_letter}{pair.rs.rank}, node {pair.j}, a_j = {pair.a_j}",
         f"alpha0 = {format_root(pair.alpha0)}",
         "delta0 = " + ", ".join(
@@ -196,8 +201,7 @@ def cmd_pair(args):
         *(f"theta_{k} = {format_root(th)}" for k, th in enumerate(payload["thetas"], start=1)),
         "reflection chain nodes: " + "-".join(map(str, payload["chain_nodes"])),
         "graded dims s=0..%d: %s" % (2 * pair.a_j - 1, payload["graded_dims"]),
-    ]
-    return payload, text, 0
+    ], 0
 
 
 def _hilbert_payload(hs: HilbertSeries) -> dict:
@@ -263,8 +267,10 @@ def _presentation(pres: SRPresentation, lead: str, tail: str) -> _Joined:
     return _Joined(monomials, head, ", ", ")" + tail, head + "-)" + tail)
 
 
-def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload without its presentation, facet and generator rows."""
+def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
+    """The alambda payload but its pair, with the presentation and the facet
+    and generator lists as `_Joined` parts.  The labels of the presentation
+    are ASCII without '"' or '\\', so in quotes it is already its JSON string."""
     flags = pres.flags()
     pair = pres.pair
     return {
@@ -279,48 +285,32 @@ def _presentation_summary(pres: SRPresentation, degree: int) -> dict:
             "alambda_trivial": weylcrit.is_alambda_trivial(pair, pres.lam),
             "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),
         },
+        "presentation": _presentation(pres, '"', '"'),
+        "facets": _Joined(_rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW), *_JSON_LIST),
+        "generators": _Joined(_rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW),
+                              *_JSON_LIST),
     }
-
-
-def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
-    """The alambda payload, its presentation and its facet and generator lists
-    as `_Joined` parts.  The labels of the presentation are ASCII without '"'
-    or '\\', so in quotes it is already its JSON string."""
-    out = _presentation_summary(pres, degree)
-    out["presentation"] = _presentation(pres, '"', '"')
-    out["facets"] = _Joined(_rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW), *_JSON_LIST)
-    out["generators"] = _Joined(_rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW),
-                                *_JSON_LIST)
-    return out
 
 
 def cmd_alambda(args):
     pair = _resolve_pair(args)
-    lam = _resolve_weight(pair, args)
-    pres = presentation(pair, lam)
-    if args.format == "json":
-        return {"pair": _pair_payload(pair), **_presentation_payload(pres, args.degree)}, [], 0
-    payload = _presentation_summary(pres, args.degree)
-    v = payload["verdicts"]
-    f = payload["flags"]
-    text = [
+    pres = presentation(pair, _resolve_weight(pair, args))
+    payload = {"pair": _pair_payload(pair), **_presentation_payload(pres, args.degree)}
+    hs, v = payload["hilbert"], payload["verdicts"]
+    lower = lambda b: str(b).lower() if isinstance(b, bool) else b
+    return payload, lambda: [
         f"pair: {pair.describe()}",
-        f"weight: {lam.format()}",
+        f"weight: {payload['weight']}",
         _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
         _Joined(_rows(*pres.facet_tables(_text_unit, ""), _TEXT_ROW),
                 "facets: ", "; ", "", "facets: {}"),
-        f"Hilbert coefficients to degree {args.degree}: {payload['hilbert']['coefficients']}",
-    ]
-    if payload["hilbert"]["closed_form"]:
-        text.append(f"Hilbert closed form: {payload['hilbert']['closed_form']['display']}")
-    lower = lambda b: str(b).lower() if isinstance(b, bool) else b
-    text.append(
-        f"flags: jac_zero={lower(f['jac_zero'])} koszul={f['koszul']} pure={lower(f['pure'])} "
-        f"cohen_macaulay_certified={lower(f['cohen_macaulay_certified'])}")
-    text.append(f"A_lambda trivial (one-dimensional modulo radical): {lower(v['alambda_trivial'])}")
-    text.append(f"W(lambda) irreducible: {lower(v['global_weyl_irreducible'])}")
-    return payload, text, 0
+        f"Hilbert coefficients to degree {args.degree}: {hs['coefficients']}",
+        *([f"Hilbert closed form: {hs['closed_form']['display']}"] if hs["closed_form"] else []),
+        "flags: " + " ".join(f"{k}={lower(flag)}" for k, flag in payload["flags"].items()),
+        f"A_lambda trivial (one-dimensional modulo radical): {lower(v['alambda_trivial'])}",
+        f"W(lambda) irreducible: {lower(v['global_weyl_irreducible'])}",
+    ], 0
 
 
 def cmd_hilbert(args):
@@ -328,10 +318,11 @@ def cmd_hilbert(args):
     lam = _resolve_weight(pair, args)
     pres = presentation(pair, lam)
     payload = {"weight": lam.format(), **_hilbert_payload(pres.hilbert_series(args.degree))}
-    text = [f"Hilbert coefficients to degree {args.degree}: {payload['coefficients']}"]
-    if payload["closed_form"]:
-        text.append(f"closed form: {payload['closed_form']['display']}")
-    return payload, text, 0
+    cf = payload["closed_form"]
+    return payload, lambda: [
+        f"Hilbert coefficients to degree {args.degree}: {payload['coefficients']}",
+        *([f"closed form: {cf['display']}"] if cf else []),
+    ], 0
 
 
 def cmd_localdim(args):
@@ -345,7 +336,7 @@ def cmd_localdim(args):
         "displayed_mismatch": rep.mismatch,
         "spin_value": rep.spin_value,
     }
-    return payload, rep.lines(), 0
+    return payload, rep.lines, 0
 
 
 def cmd_idealpoint(args):
@@ -365,14 +356,13 @@ def cmd_idealpoint(args):
         "degrees": [point.degree(i) for i in pair.rs.nodes],
         "verified": True,
     }
-    text = [
+    return payload, lambda: [
         f"weight: {lam.format()}  mu: {params.mu.format()}",
         "points: " + ("; ".join(
             f"z^a_j={p.z_power}, weight={list(p.weight.values)}" for p in params.points) or "none"),
         "pi entries: " + (", ".join(f"pi[{k}]={v}" for k, v in payload["pi"].items()) or "all zero"),
         "presentation relations and degree identity: verified",
-    ]
-    return payload, text, 0
+    ], 0
 
 
 def cmd_garland_check(args):
@@ -386,11 +376,12 @@ def cmd_garland_check(args):
         "failures": failures,
         "status": "pass" if not failures else "fail",
     }
-    text = [f"garland checks at order {args.order} over {payload['roots_checked']} positive roots: "
-            + payload["status"]]
-    for f in failures:
-        text.append(f"  FAIL {f['check']} at root {f['root']}, first differing coefficient u^{f.get('order')}")
-    return payload, text, 0 if not failures else 1
+    return payload, lambda: [
+        f"garland checks at order {args.order} over {payload['roots_checked']} positive roots: "
+        + payload["status"],
+        *(f"  FAIL {f['check']} at root {f['root']}, first differing coefficient u^{f.get('order')}"
+          for f in failures),
+    ], 0 if not failures else 1
 
 
 def cmd_verify_all(args):
@@ -401,9 +392,8 @@ def cmd_verify_all(args):
         "results": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
         "status": "pass" if all(r.ok for r in results) else "fail",
     }
-    text = [r.line() for r in results]
-    text.append(f"overall: {payload['status']}")
-    return payload, text, 0 if payload["status"] == "pass" else 1
+    code = 0 if payload["status"] == "pass" else 1
+    return payload, lambda: [*(r.line() for r in results), f"overall: {payload['status']}"], code
 
 
 class _Arg(NamedTuple):
@@ -571,16 +561,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.func(args)
+        if args.format == "json":
+            parts = [*_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}),
+                     "\n"]
+        else:
+            parts = [part for line in text() for part in (line, "\n")]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        parts = [*_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}), "\n"]
-    else:
-        parts = [part for line in text for part in (line, "\n")]
     try:
         _write(parts, sys.stdout.write)
         sys.stdout.flush()

@@ -256,9 +256,7 @@ class SRPresentation:
     """Surviving variables and minimal relations for a pair and a weight."""
 
     def __init__(self, pair: BdsPair, lam: Weight0):
-        bad = [k for k in lam if k not in pair.delta0_labels]
-        if bad:
-            raise ValueError(f"weight keys {bad} are not Delta_0 labels of {pair!r}")
+        pair.check_delta0_keys(lam)
         self.pair = pair
         self.lam = lam
         self.h0 = lam[0]

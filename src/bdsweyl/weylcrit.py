@@ -143,6 +143,7 @@ def ideal_point_from_params(pair: BdsPair, lam: Weight0, params: EvalParams) -> 
     verified against the presentation relations and the degree identity
     mu(h_0) = lam(h_0) - sum_i comark_i * deg pi_i.
     """
+    pair.check_delta0_keys(lam)
     powers = [p.z_power for p in params.points]
     if any(z == 0 for z in powers):
         raise ValueError("violated invariant: evaluation parameters must be nonzero")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdsweyl
-from bdsweyl import garland, srring, verify, weylcrit
+from bdsweyl import cli, garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs, build_pair
 from bdsweyl.cli import (_CHUNK, _JSON_LIST, _ROW_PAD, COMMANDS, _json, _Joined, _pair_payload,
                          _plain_args, _render, _write, build_parser, main)
@@ -183,6 +183,14 @@ def test_idealpoint_more_points_than_the_pool_exits_2(capsys):
     code, out, _ = run(capsys, *args, "--points", "3", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["points"]) == 3
+
+
+@pytest.mark.parametrize("weight", ["h3=1,h0=1", "h7=1"])
+def test_idealpoint_weight_key_off_delta0_exits_2(capsys, weight):
+    # h3 is h_j at node 3, and B3 has no node 7: alambda and hilbert refuse both too
+    code, out, err = run(capsys, "idealpoint", "B", "3", "--node", "3", "--weight", weight)
+    assert (code, out) == (2, "")
+    assert "are not Delta_0 labels of BdsPair(B3, node 3" in err
 
 
 @pytest.mark.parametrize("flag,spec", [("--weight", "h2=1,h2=5,h0=1"),
@@ -587,6 +595,60 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# The first golden argv of each subcommand, with the digest of its JSON stdout.
+GOLDEN_BY_COMMAND = {}
+for command, digest in GOLDEN:
+    GOLDEN_BY_COMMAND.setdefault(command.split()[0], (command.split(), digest))
+
+
+def swap_text(monkeypatch, name, text):
+    """Bind the handler of subcommand `name` to one that returns `text` as its
+    text report; `main` finds the handler by name at parse time."""
+    handler = getattr(cli, COMMANDS[name].func)
+
+    def with_text(args):
+        payload, _, code = handler(args)
+        return payload, text, code
+
+    monkeypatch.setattr(cli, COMMANDS[name].func, with_text)
+
+
+def failing_report():
+    raise AssertionError("text report: made")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_json_never_makes_the_text_report(capsys, monkeypatch, name):
+    argv, digest = GOLDEN_BY_COMMAND[name]
+    swap_text(monkeypatch, name, failing_report)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_failing_text_report_exits_1_with_empty_stdout(capsys, monkeypatch, name):
+    argv, _ = GOLDEN_BY_COMMAND[name]
+    swap_text(monkeypatch, name, failing_report)
+    assert run(capsys, *argv) == (1, "", "property failure: text report: made\n")
+
+
+def test_text_report_failures_survive_optimized_mode():
+    # a ValueError and a `require` raised while the text report is made
+    proc = run_optimized("import contextlib, io\n"
+                         "from bdsweyl import cli\n"
+                         "from bdsweyl.rootsys import require\n"
+                         "pair = cli.cmd_pair\n"
+                         "for report in (lambda: [int('x')], lambda: [require(False, 'report')]):\n"
+                         "    cli.cmd_pair = lambda args, report=report: (pair(args)[0], report, 0)\n"
+                         "    out = io.StringIO()\n"
+                         "    with contextlib.redirect_stdout(out):\n"
+                         "        code = cli.main(['pair', 'B', '3', '--node', '3'])\n"
+                         "    print(code, repr(out.getvalue()))\n")
+    assert proc.stdout == "2 ''\n1 ''\n"
+    assert proc.stderr == ("error: invalid literal for int() with base 10: 'x'\n"
+                           "property failure: report\n")
 
 
 # The argv vocabulary of the differential test: tokens each argument reads,

@@ -2,8 +2,9 @@
 method and class it defines is reached from somewhere, only the modules
 whose values can be non-integral import `fractions`, none imports
 `dataclasses`, the golden corpus runs without loading `argparse`, `cli`
-reads no private attribute of a presentation, and every name the docs cite
-through a module of the package resolves."""
+reads no private attribute of a presentation, only `cli.main` reads the
+output format, and every name the docs cite through a module of the package
+resolves."""
 
 import ast
 import importlib
@@ -119,6 +120,41 @@ def test_cli_reads_no_private_attribute_of_a_presentation():
     names, reads = presentation_private_reads(source)
     assert "pres" in names
     assert reads == []
+
+
+def format_readers(source: str) -> list[str]:
+    """The innermost function around each read of `args.format` in source:
+    a def by its name, a lambda as "<lambda>", and "<module>" outside both."""
+    readers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Lambda):
+            where = "<lambda>"
+        elif (isinstance(node, ast.Attribute) and node.attr == "format"
+              and isinstance(node.value, ast.Name) and node.value.id == "args"):
+            readers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_guard_sees_format_reads():
+    source = ("def main(args):\n    return args.format\n"
+              "def cmd_x(args):\n    if args.format == 'json':\n        return lam.format()\n"
+              "    return lambda: [args.format]\n"
+              "class C:\n    def f(self, args):\n        def g():\n            return args.format\n"
+              "fmt = args.format\n")
+    assert format_readers(source) == ["main", "cmd_x", "<lambda>", "g", "<module>"]
+
+
+def test_only_main_reads_the_format():
+    # every subcommand returns one payload and a text callable; `main` picks
+    source = (Path(bdsweyl.__file__).parent / "cli.py").read_text()
+    assert set(format_readers(source)) == {"main"}
 
 
 # the symmetrizer and `inner`, the Garland coefficients, the evaluation

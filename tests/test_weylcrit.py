@@ -155,6 +155,10 @@ def test_ideal_point_validation_errors():
     with pytest.raises(ValueError, match="weight sum"):
         ideal_point_from_params(B3, lam, EvalParams(
             mu=Weight0({2: 1}), points=(EvalPoint(Fraction(2), DeltaWeight.of(3, {1: 1})),)))
+    # h3 is h_j, and h7 no node of B3: neither is a Delta_0 label
+    for bad in ({3: 1, 0: 1}, {7: 1}):
+        with pytest.raises(ValueError, match="not Delta_0 labels"):
+            ideal_point_from_params(B3, Weight0(bad), EvalParams(mu=Weight0(bad), points=()))
 
 
 def random_params(pair, rng, max_points=2):
