@@ -13,6 +13,7 @@ keeps it; every pairing it reads is a row of the root system's table.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,11 +32,8 @@ class ReflectionChain(NamedTuple):
     def node_sequence(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    def node_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for i in self.node_sequence:
-            counts[i] = counts.get(i, 0) + 1
-        return counts
+    def node_counts(self) -> Counter[int]:
+        return Counter(self.node_sequence)
 
 
 class BdsPair:

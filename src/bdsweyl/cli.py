@@ -17,15 +17,14 @@ generator tuples with their checks.  A failure in a subcommand or in its
 text report is caught by the same handler, so an exit of 1 or 2 leaves
 stdout empty.  Both formats are then written by one writer, `_write`: the
 JSON as the parts `_json` makes of the payload, the text report as its
-lines.  The alambda presentation string C[vars] / (gens) and the facet and
-generator lists are `_Joined` parts: while they are written, memory holds
-the payload without them, plus the presentation's level tuples and per-node
+lines.  A part is a str or an iterator of strs.  The alambda presentation
+string C[vars] / (gens) and the facet and generator lists are generators
+made by one renderer, `_rows`: while they are written, memory holds the
+payload without them, plus the presentation's level tuples and per-node
 string tables, and each monomial or row is made as it is written, in writes
 of about `_CHUNK` characters.  The tables are those of
-`SRPresentation.facet_tables` and `generator_tables`.  Each unit of a row
-table starts with its own separator, so one `_rows` makes every facet and
-generator row with one join; the presentation's monomials are joined
-directly from label tables that have no separator.
+`SRPresentation.facet_tables` and `generator_tables`; each unit of a facet
+or generator row starts with its own separator, so every row is one join.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ import os
 import random
 import sys
 from functools import lru_cache
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import getitem
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import garland, weylcrit
@@ -95,56 +95,37 @@ def _render(obj, pad: str) -> str:
 _CHUNK = 1 << 16
 
 
-class _Joined(NamedTuple):
-    """A part of what `_write` writes: open_ + sep.join(rows) + close, or
-    `empty` when rows yields nothing, each row made as it is written."""
-
-    rows: Iterator[str]
-    open_: str
-    sep: str
-    close: str
-    empty: str
-
-
-def _write(parts: Iterable[str | _Joined], write: Callable[[str], object]) -> None:
-    """Write the parts, each a str or a `_Joined`, through `write`: the text is
-    gathered, and written joined each time it reaches about `_CHUNK`
-    characters within the rows of a `_Joined`.  So no more than a chunk of text
-    is held, and a small payload takes one write."""
+def _write(parts: Iterable[str | Iterator[str]], write: Callable[[str], object]) -> None:
+    """Write the parts, each a str or an iterator of strs, through `write`:
+    the pieces are gathered, and written joined each time they reach about
+    `_CHUNK` characters.  So no more than about a chunk of text is held, and
+    a small payload takes one write."""
     text, size = [], 0  # pieces not yet written, and their length
     for part in parts:
-        if type(part) is str:
-            text.append(part)
-            size += len(part)
-            continue
-        rows, open_, sep, close, empty = part
-        lead = None
-        for row in rows:
-            text += (open_ if lead is None else lead, row)
-            lead = sep
-            size += len(row)
+        for piece in (part,) if type(part) is str else part:
+            text.append(piece)
+            size += len(piece)
             if size >= _CHUNK:
                 write("".join(text))
                 text.clear()
                 size = 0
-        text.append(empty if lead is None else close)
     write("".join(text))
 
 
-def _json(obj) -> list[str | _Joined]:
+def _json(obj) -> list[str | Iterator[str]]:
     """The parts of `json.dumps(obj, sort_keys=True, indent=2)` for `_write`.
 
-    A `_Joined` value of obj (the presentation, facets and generators of
-    the alambda payload) stays a part: no row list and no whole document is
-    ever held.  Every key and every other value is rendered by `_render` here,
-    so a TypeError comes before the first write.
+    A generator value of obj (the presentation, facets and generators of the
+    alambda payload, each from `_rows`) stays a part: no row list and no
+    whole document is ever held.  Every key and every other value is
+    rendered by `_render` here, so a TypeError comes before the first write.
     """
     if type(obj) is not dict or not obj:
         return [_render(obj, "\n")]
     parts, lead = [], "{"
     for key, value in sorted(obj.items()):
         parts += (f"{lead}\n  {encode_basestring_ascii(key)}: ",
-                  value if type(value) is _Joined else _render(value, "\n  "))
+                  value if type(value) is GeneratorType else _render(value, "\n  "))
         lead = ","
     parts.append("\n}")
     return parts
@@ -217,9 +198,9 @@ def _hilbert_payload(hs: HilbertSeries) -> dict:
     }
 
 
-# The brackets of a row, in the order of `_Joined`: open, sep, close, empty.
-# The "facets" and "generators" lists of the alambda payload are top-level
-# values: each row closes at _ROW_PAD, and each [node, level] in it at _ITEM_PAD.
+# The brackets of a row or of a list: open, sep, close, empty.  The "facets"
+# and "generators" lists of the alambda payload are top-level values: each
+# row closes at _ROW_PAD, and each [node, level] in it at _ITEM_PAD.
 _ROW_PAD = "\n    "
 _ITEM_PAD = _ROW_PAD + "  "
 _JSON_ROW = ("[" + _ITEM_PAD, "," + _ITEM_PAD, _ROW_PAD + "]", "[]")
@@ -240,36 +221,45 @@ def _text_unit(v: SRVariable) -> str:
 
 
 def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
-          brackets: tuple[str, str, str, str]) -> Iterator[str]:
-    """The rows, each rendered when the iteration reaches it.
+          row: tuple[str, str, str, str], brackets: tuple[str, str, str, str]) -> Iterator[str]:
+    """The list of the rows, in `brackets` (open, sep, close, empty), as
+    pieces of text, each row rendered when the iteration reaches it.
 
     The tables, keys and tail are those `SRPresentation.facet_tables` or
     `generator_tables` gives for units that start with their own separator.
     So the row of key tuple t is its body, the entries `tables[k][t[k]]` and
     then `tail` in one join, with the leading separator cut, in the brackets
-    (open, sep, close, empty): `empty` when the body is "".  No row text is
-    held: `_write` writes each row as it is made.
+    `row`: its `empty` when the body is "".  The list's open or sep goes
+    into the row's piece, so each row is one piece; the list's close ends
+    it, or its `empty` stands for it when there is no row.
     """
-    open_, sep, close, empty = brackets
+    open_, sep, close, empty = row
+    first, later, end, none = brackets
+    if not keys:
+        yield none
+        return
     cut = len(sep)
-    for key in keys:
-        body = "".join(map(getitem, tables, key)) + tail
-        yield open_ + body[cut:] + close if body else empty
+    for lead, part in ((first, keys[:1]), (later, islice(keys, 1, None))):
+        head, bare = lead + open_, lead + empty
+        for key in part:
+            body = "".join(map(getitem, tables, key)) + tail
+            yield head + body[cut:] + close if body else bare
+    yield end
 
 
-def _presentation(pres: SRPresentation, lead: str, tail: str) -> _Joined:
+def _presentation(pres: SRPresentation, lead: str, tail: str) -> Iterator[str]:
     """lead + "C[vars] / (gens)" + tail, gens (or "-") the monomials of the
     generators in their order, each joined from the label tables of
-    `SRPresentation.generator_tables` when `_write` reaches it."""
+    `SRPresentation.generator_tables` when the iteration reaches it.  Its
+    label units carry no separator, so a monomial's brackets are empty."""
     head = f"{lead}C[{', '.join(v.label() for v in pres.variables) or '-'}] / ("
-    tables, keys, _ = pres.generator_tables(SRVariable.label, "")
-    monomials = ("".join(map(getitem, tables, levels)) for levels in keys)
-    return _Joined(monomials, head, ", ", ")" + tail, head + "-)" + tail)
+    return _rows(*pres.generator_tables(SRVariable.label, ""), ("", "", "", ""),
+                 (head, ", ", ")" + tail, head + "-)" + tail))
 
 
 def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
     """The alambda payload but its pair, with the presentation and the facet
-    and generator lists as `_Joined` parts.  The labels of the presentation
+    and generator lists as `_rows` generators.  The labels of the presentation
     are ASCII without '"' or '\\', so in quotes it is already its JSON string."""
     flags = pres.flags()
     pair = pres.pair
@@ -286,9 +276,8 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
             "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),
         },
         "presentation": _presentation(pres, '"', '"'),
-        "facets": _Joined(_rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW), *_JSON_LIST),
-        "generators": _Joined(_rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW),
-                              *_JSON_LIST),
+        "facets": _rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW, _JSON_LIST),
+        "generators": _rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW, _JSON_LIST),
     }
 
 
@@ -303,8 +292,7 @@ def cmd_alambda(args):
         f"weight: {payload['weight']}",
         _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
-        _Joined(_rows(*pres.facet_tables(_text_unit, ""), _TEXT_ROW),
-                "facets: ", "; ", "", "facets: {}"),
+        _rows(*pres.facet_tables(_text_unit, ""), _TEXT_ROW, ("facets: ", "; ", "", "facets: {}")),
         f"Hilbert coefficients to degree {args.degree}: {hs['coefficients']}",
         *([f"Hilbert closed form: {hs['closed_form']['display']}"] if hs["closed_form"] else []),
         "flags: " + " ".join(f"{k}={lower(flag)}" for k, flag in payload["flags"].items()),
@@ -336,7 +324,14 @@ def cmd_localdim(args):
         "displayed_mismatch": rep.mismatch,
         "spin_value": rep.spin_value,
     }
-    return payload, rep.lines, 0
+    shown, spin = payload["displayed_value"], payload["spin_value"]
+    mismatch = " (MISMATCH with the telescoped value)" if payload["displayed_mismatch"] else ""
+    return payload, lambda: [
+        f"dim W_loc({payload['power']} * lambda_{payload['fundamental']}) = {payload['value']}",
+        *([f"displayed closed form gives {shown}{mismatch}"] if shown is not None else []),
+        *([f"graded fiber at the spin node is irreducible of dimension {spin}"]
+          if spin is not None else []),
+    ], 0
 
 
 def cmd_idealpoint(args):
@@ -393,7 +388,11 @@ def cmd_verify_all(args):
         "status": "pass" if all(r.ok for r in results) else "fail",
     }
     code = 0 if payload["status"] == "pass" else 1
-    return payload, lambda: [*(r.line() for r in results), f"overall: {payload['status']}"], code
+    return payload, lambda: [
+        *(f"{'pass' if r['ok'] else 'FAIL'}  {r['name']}"
+          + (f"  [{r['detail']}]" if r["detail"] else "") for r in payload["results"]),
+        f"overall: {payload['status']}",
+    ], code
 
 
 class _Arg(NamedTuple):

@@ -124,9 +124,8 @@ class SRVariable(NamedTuple):
 
 @frozen
 class SimplicialComplex(NamedTuple):
-    """A finite simplicial complex given by its vertices and facet list."""
+    """A finite simplicial complex given by its facet list."""
 
-    vertices: tuple[SRVariable, ...]
     facets: tuple[frozenset, ...]
 
     def __post_init__(self):
@@ -508,7 +507,7 @@ class SRPresentation:
         maximal by bitmasks."""
         tables, tops, tail = self.facet_tables(lambda v: (v,), ())
         facets = tuple(frozenset(chain(tail, *map(getitem, tables, t))) for t in tops)
-        return SimplicialComplex(self.variables, facets)
+        return SimplicialComplex(facets)
 
     def facets(self) -> SimplicialComplex:
         """The simplicial complex of the presentation, built once: the

@@ -285,15 +285,6 @@ class LocalDimReport(NamedTuple):
     mismatch: bool
     spin_value: int | None
 
-    def lines(self) -> list[str]:
-        out = [f"dim W_loc({self.multiplicity} * lambda_{self.node}) = {self.value}"]
-        if self.displayed_value is not None:
-            out.append(f"displayed closed form gives {self.displayed_value}"
-                       + (" (MISMATCH with the telescoped value)" if self.mismatch else ""))
-        if self.spin_value is not None:
-            out.append(f"graded fiber at the spin node is irreducible of dimension {self.spin_value}")
-        return out
-
 
 def local_weyl_dim_report(pair: BdsPair, i: int, r: int) -> LocalDimReport:
     """Compute the telescoped value and the displayed sum side by side."""

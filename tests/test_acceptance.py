@@ -135,7 +135,7 @@ def test_criterion_07_shellings():
             assert len({len(f) for f in sc.facets}) == 1
             assert verify_shelling(sc, order)
             checked += 1
-    bad = SimplicialComplex((), (frozenset({1, 2, 3}), frozenset({3, 4, 5})))
+    bad = SimplicialComplex((frozenset({1, 2, 3}), frozenset({3, 4, 5})))
     assert verify_shelling(bad, list(bad.facets)) is False
     _report(7, f"{checked} canonical shellings verified; bad order rejected")
 

@@ -18,7 +18,7 @@ from bdsweyl.bdspair import (
 from bdsweyl.cli import _pair_payload, _presentation_payload, main
 from bdsweyl.rootsys import RootSystem, build
 from bdsweyl.srring import Weight0, presentation
-from test_cli import dumps
+from helpers import dumps
 
 
 def b3_pair():

@@ -16,18 +16,12 @@ from hypothesis import strategies as st
 import bdsweyl
 from bdsweyl import cli, garland, srring, verify, weylcrit
 from bdsweyl.bdspair import BdsPair, all_pairs, build_pair
-from bdsweyl.cli import (_CHUNK, _JSON_LIST, _ROW_PAD, COMMANDS, _json, _Joined, _pair_payload,
-                         _plain_args, _render, _write, build_parser, main)
+from bdsweyl.cli import (_CHUNK, _JSON_LIST, _ROW_PAD, COMMANDS, _json, _pair_payload,
+                         _plain_args, _render, _rows, _write, build_parser, main)
 from bdsweyl.srring import MAX_FACETS, Weight0, presentation
+from helpers import dumps, stdout_of
 from test_bench_goldens import GOLDENS, workloads
 from test_golden import D12_ALAMBDA, FRONTIER, GOLDEN
-
-
-def dumps(obj) -> str:
-    """What `_write` writes of `_json(obj)`, as one string."""
-    parts = []
-    _write(_json(obj), parts.append)
-    return "".join(parts)
 
 
 def run(capsys, *argv):
@@ -319,6 +313,33 @@ def test_a_small_report_takes_one_write(fmt, size):
     with contextlib.redirect_stdout(sink):
         code = main(["pair", "B", "3", "--node", "3", "--format", fmt])
     assert (code, sink.size, sink.writes) == (0, size, 1)
+
+
+# SHA-256 of stdout, recorded while `weylcrit` and `verify` still made the
+# localdim and verify-all text lines, and before every streamed list was a
+# plain generator of strings: localdim at i = 0, at 1 <= i < n - 1 (the
+# MISMATCH line) and at i = n - 1 (the spin line), verify-all, and alambda at
+# weight 0, whose lists take their empty forms, `C[-] / (-)` and `[]`.
+STDOUT_DIGESTS = {
+    "localdim B 4 --node 4 --fundamental 0 --power 2":
+        "7a45980950b8a0be2fd1039ae7ce6de1b0bfa041e1ad7e6bfc51baafd0789daa",
+    "localdim B 4 --node 4 --fundamental 1 --power 2":
+        "e4abae7d577a24f657b088423e71ac13891c33e698f08356c60ccd843c280e03",
+    "localdim B 4 --node 4 --fundamental 3 --power 2":
+        "34bdcc2140d30234f3a1b90321f753f675b15e9d1cc22803292d8108a4fe88fa",
+    "verify-all --max-rank 3":
+        "1450e0a5be032fc427d0267d71c0f771df3a91812f35fc729994e3882bebe2a2",
+    "alambda B 3 --node 3":
+        "ca5fd03bea0ca7fc1d7ff5f3bda23f0414c53748d7034501d6b6f83028cff824",
+    "alambda B 3 --node 3 --format json":
+        "1dad4886c17c919aa069897455305cfe5ac22f4b1a0d4a2b9adbe4b6858eff81",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_stdout_keeps_its_recorded_bytes(command):
+    code, out = stdout_of(command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, STDOUT_DIGESTS[command])
 
 
 # Runs one query and reports the peak resident set size of its process, in
@@ -819,8 +840,11 @@ ROW_LISTS = [([], 1), ([[]], 1), ([[i, [i, 2 * i]] for i in range(1500)], 2)]
 
 @pytest.mark.parametrize("rows, count", ROW_LISTS, ids=["no_rows", "one_empty_row", "past_chunk"])
 def test_write_json_writes_a_row_generator_as_its_list(rows, count):
+    # one table of the rendered rows, key (k,) its row k, in empty row brackets
+    table = [_render(r, _ROW_PAD) for r in rows]
+    keys = tuple((k,) for k in range(len(rows)))
+    row_list = _rows([table], keys, "", ("", "", "", ""), _JSON_LIST)
     writes = []
-    row_list = _Joined((_render(r, _ROW_PAD) for r in rows), *_JSON_LIST)
     _write(_json({"a": 1, "rows": row_list, "z": [None]}), writes.append)
     assert "".join(writes) == json.dumps({"a": 1, "rows": rows, "z": [None]}, sort_keys=True, indent=2)
     assert len(writes) == count
@@ -901,13 +925,6 @@ def old_text_report(pres, payload, degree):
     text.append(f"A_lambda trivial (one-dimensional modulo radical): {lower(v['alambda_trivial'])}")
     text.append(f"W(lambda) irreducible: {lower(v['global_weyl_irreducible'])}")
     return "\n".join(text) + "\n"
-
-
-def stdout_of(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
 
 
 ALL_PAIRS_8 = all_pairs(8)

@@ -26,7 +26,7 @@ NO_DEFAULT = object()
 # every field in declaration order, with its default where it has one
 FIELDS = {
     ReflectionChain: [("entries", NO_DEFAULT)],
-    SimplicialComplex: [("vertices", NO_DEFAULT), ("facets", NO_DEFAULT)],
+    SimplicialComplex: [("facets", NO_DEFAULT)],
     ClosedForm: [("numerator", NO_DEFAULT), ("denominator", NO_DEFAULT)],
     HilbertSeries: [("truncation_degree", NO_DEFAULT), ("coefficients", NO_DEFAULT),
                     ("closed_form", None)],
@@ -60,7 +60,7 @@ def samples(cls):
     chain = B3.reflection_chain()
     made = {
         ReflectionChain: [chain, ReflectionChain(chain.entries[:1]), ReflectionChain(())],
-        SimplicialComplex: [pres.facets(), SimplicialComplex((), (frozenset({1}), frozenset({2})))],
+        SimplicialComplex: [pres.facets(), SimplicialComplex((frozenset({1}), frozenset({2})))],
         ClosedForm: [ClosedForm((1, 2), (2, 4)), ClosedForm((1,), ()), ClosedForm((1, 2), (4, 2))],
         HilbertSeries: [pres.hilbert_series(6), HilbertSeries(2, (1, 3, 5)),
                         HilbertSeries(2, (1, 3, 5), ClosedForm((1, 1), (1,)))],
@@ -136,9 +136,10 @@ def test_post_init_patched_on_the_class_sees_each_construction(monkeypatch, cls,
 
 
 def test_records_of_different_classes_with_the_same_fields_differ():
-    same = [ClosedForm((), ()), EvalPoint((), ()), EvalParams((), ()), SimplicialComplex((), ())]
-    assert len(set(same)) == len(same)
-    assert all(a != b and not a == b for a in same for b in same if a is not b)
+    for same in ([ClosedForm((), ()), EvalPoint((), ()), EvalParams((), ())],
+                 [SimplicialComplex(()), ReflectionChain(()), DeltaWeight(())]):
+        assert len(set(same)) == len(same)
+        assert all(a != b and not a == b for a in same for b in same if a is not b)
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)

@@ -264,7 +264,7 @@ def test_format_terms_matches_the_term_by_term_oracles(coeffs):
 
 
 # the tuple classes of the package that are not records: they equal a plain tuple
-PLAIN_TUPLES = {"srring.SRVariable", "cli._Arg", "cli._Joined"}
+PLAIN_TUPLES = {"srring.SRVariable", "cli._Arg"}
 
 
 def test_every_tuple_class_is_a_frozen_record_or_a_listed_plain_tuple():

@@ -33,7 +33,7 @@ from bdsweyl.srring import (
     _walk,
 )
 from bdsweyl.verify import _random_weight
-from test_cli import dumps, stdout_of
+from helpers import dumps, stdout_of
 
 B3 = build_pair("B", 3, rank=3)
 EXAMPLE_578 = Weight0({2: 1, 0: 1})  # lam(h_2) = lam(h_0) = 1
@@ -335,7 +335,7 @@ def test_canonical_shelling_is_the_papers_order(data):
 
 
 def test_verify_shelling_single_facet():
-    sc = SimplicialComplex((), (frozenset({1}),))
+    sc = SimplicialComplex((frozenset({1}),))
     assert verify_shelling(sc, [frozenset({1})])
 
 
@@ -343,7 +343,7 @@ def test_verify_shelling_counterexample():
     # two triangles glued at one vertex are not shellable in any order
     t1 = frozenset({1, 2, 3})
     t2 = frozenset({3, 4, 5})
-    sc = SimplicialComplex((), (t1, t2))
+    sc = SimplicialComplex((t1, t2))
     assert not verify_shelling(sc, [t1, t2])
     assert not verify_shelling(sc, [t2, t1])
     assert find_shelling(sc) is None
@@ -364,7 +364,7 @@ def test_maximality_check_matches_pairwise_loop(pool, picks):
     facets = tuple(frozenset(list(pool[i % len(pool)])) if copy else pool[i % len(pool)]
                    for i, copy in picks)
     try:
-        SimplicialComplex((), facets)
+        SimplicialComplex(facets)
         accepted = True
     except ValueError:
         accepted = False
@@ -374,7 +374,7 @@ def test_maximality_check_matches_pairwise_loop(pool, picks):
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=7))
 def test_find_shelling_result_is_a_shelling(faces):
-    sc = SimplicialComplex((), tuple(f for f in faces if not any(f < g for g in faces)))
+    sc = SimplicialComplex(tuple(f for f in faces if not any(f < g for g in faces)))
     order = find_shelling(sc)
     if order is not None:
         assert verify_shelling(sc, order)  # raises unless a permutation of the facets
@@ -389,7 +389,7 @@ def test_find_shelling_orders_a_connected_graph(targets, chords):
     n = len(targets) + 1
     edges = {frozenset({k, t % k}) for k, t in enumerate(targets, 1)}
     edges |= {frozenset({a % n, b % n}) for a, b in chords if a % n != b % n}
-    sc = SimplicialComplex((), tuple(edges))
+    sc = SimplicialComplex(tuple(edges))
     order = find_shelling(sc)
     assert order is not None
     assert verify_shelling(sc, order)

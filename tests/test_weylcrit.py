@@ -29,6 +29,7 @@ from bdsweyl.weylcrit import (
     weight_convert,
     weight_restrict,
 )
+from helpers import stdout_of
 
 B3 = build_pair("B", 3, rank=3)
 
@@ -282,7 +283,10 @@ def test_local_dim_report_surfaces_mismatch():
     assert displayed_sum_dim(3, 2, 1) == 21
     rep0 = local_weyl_dim_report(B3, 0, 3)
     assert rep0.value == 512 and rep0.displayed_value is None and not rep0.mismatch
-    assert any("MISMATCH" in line for line in rep.lines())
+    assert stdout_of(["localdim", "B", "3", "--node", "3", "--fundamental", "2"]) == (0, (
+        "dim W_loc(1 * lambda_2) = 22\n"
+        "displayed closed form gives 21 (MISMATCH with the telescoped value)\n"
+        "graded fiber at the spin node is irreducible of dimension 4\n"))
 
 
 def test_record_constants():
