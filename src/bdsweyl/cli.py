@@ -19,12 +19,12 @@ stdout empty.  Both formats are then written by one writer, `_write`: the
 JSON as the parts `_json` makes of the payload, the text report as its
 lines.  A part is a str or an iterator of strs.  The alambda presentation
 string C[vars] / (gens) and the facet and generator lists are generators
-made by one renderer, `_rows`: while they are written, memory holds the
-payload without them, plus the presentation's level tuples and per-node
-string tables, and each monomial or row is made as it is written, in writes
-of about `_CHUNK` characters.  The tables are those of
-`SRPresentation.facet_tables` and `generator_tables`; each unit of a facet
-or generator row starts with its own separator, so every row is one join.
+made by one renderer, `_rows`.  It builds a list's string tables
+(`SRPresentation.facet_tables`, `generator_tables`) when the writer reaches
+the list, and joins each prefix of the walk's groups once and each shared
+suffix list once; a group's rows are one join.  While they are written,
+memory holds the payload without them, the presentation's groups and those
+tables, and about `_CHUNK` characters or one group's rows in writes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import os
 import random
 import sys
 from functools import lru_cache
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import getitem
 from types import GeneratorType, SimpleNamespace
@@ -98,8 +97,8 @@ _CHUNK = 1 << 16
 def _write(parts: Iterable[str | Iterator[str]], write: Callable[[str], object]) -> None:
     """Write the parts, each a str or an iterator of strs, through `write`:
     the pieces are gathered, and written joined each time they reach about
-    `_CHUNK` characters.  So no more than about a chunk of text is held, and
-    a small payload takes one write."""
+    `_CHUNK` characters.  So about a chunk of text, or one longer piece, is
+    held, and a small payload takes one write."""
     text, size = [], 0  # pieces not yet written, and their length
     for part in parts:
         for piece in (part,) if type(part) is str else part:
@@ -220,40 +219,46 @@ def _text_unit(v: SRVariable) -> str:
     return _TEXT_ROW[1] + v.label()
 
 
-def _rows(tables: list[list[str]], keys: tuple[tuple[int, ...], ...], tail: str,
+def _rows(encoding: Callable[[Callable, str], tuple], unit: Callable[[SRVariable], str],
           row: tuple[str, str, str, str], brackets: tuple[str, str, str, str]) -> Iterator[str]:
     """The list of the rows, in `brackets` (open, sep, close, empty), as
-    pieces of text, each row rendered when the iteration reaches it.
+    pieces of text made when the iteration reaches them.
 
-    The tables, keys and tail are those `SRPresentation.facet_tables` or
-    `generator_tables` gives for units that start with their own separator.
-    So the row of key tuple t is its body, the entries `tables[k][t[k]]` and
-    then `tail` in one join, with the leading separator cut, in the brackets
-    `row`: its `empty` when the body is "".  The list's open or sep goes
-    into the row's piece, so each row is one piece; the list's close ends
-    it, or its `empty` stands for it when there is no row.
+    `encoding` (`SRPresentation.facet_tables` or `generator_tables`) is
+    called here with `unit`, whose strings start with their separator.  The
+    row of tuple t is its body, the entries `tables[k][t[k]]` and the tail
+    with the first separator cut, in the brackets `row` (`empty` for a body
+    ""); each prefix and each shared suffix list of the walk's groups is
+    joined once, and a group's rows make one piece, led by the list's open
+    or sep.  The list's close ends it, or its `empty` stands for no row.
     """
+    tables, groups, tail = encoding(unit, "")
     open_, sep, close, empty = row
     first, later, end, none = brackets
-    if not keys:
-        yield none
-        return
-    cut = len(sep)
-    for lead, part in ((first, keys[:1]), (later, islice(keys, 1, None))):
-        head, bare = lead + open_, lead + empty
-        for key in part:
-            body = "".join(map(getitem, tables, key)) + tail
-            yield head + body[cut:] + close if body else bare
-    yield end
+    cut, glue, lead, joined = len(sep), close + later, first, {}
+    for prefix, tails in groups:
+        strs = joined.get(id(tails))
+        if strs is None:
+            rest = tables[len(prefix):]
+            strs = joined[id(tails)] = ["".join(map(getitem, rest, t)) + tail for t in tails]
+        if strs:
+            pre = "".join(map(getitem, tables, prefix))
+            if pre:
+                pre = open_ + pre[cut:]
+                yield f"{lead}{pre}{(glue + pre).join(strs)}{close}"
+            else:
+                yield lead + later.join([open_ + s[cut:] + close if s else empty for s in strs])
+            lead = later
+    yield end if any(joined.values()) else none
 
 
 def _presentation(pres: SRPresentation, lead: str, tail: str) -> Iterator[str]:
     """lead + "C[vars] / (gens)" + tail, gens (or "-") the monomials of the
-    generators in their order, each joined from the label tables of
-    `SRPresentation.generator_tables` when the iteration reaches it.  Its
+    generators in their order, joined from the label tables of
+    `SRPresentation.generator_tables` when the iteration reaches them.  Its
     label units carry no separator, so a monomial's brackets are empty."""
     head = f"{lead}C[{', '.join(v.label() for v in pres.variables) or '-'}] / ("
-    return _rows(*pres.generator_tables(SRVariable.label, ""), ("", "", "", ""),
+    return _rows(pres.generator_tables, SRVariable.label, ("", "", "", ""),
                  (head, ", ", ")" + tail, head + "-)" + tail))
 
 
@@ -276,8 +281,8 @@ def _presentation_payload(pres: SRPresentation, degree: int) -> dict:
             "global_weyl_irreducible": weylcrit.is_global_weyl_irreducible(pair, pres.lam),
         },
         "presentation": _presentation(pres, '"', '"'),
-        "facets": _rows(*pres.facet_tables(_json_unit, ""), _JSON_ROW, _JSON_LIST),
-        "generators": _rows(*pres.generator_tables(_json_unit, ""), _JSON_ROW, _JSON_LIST),
+        "facets": _rows(pres.facet_tables, _json_unit, _JSON_ROW, _JSON_LIST),
+        "generators": _rows(pres.generator_tables, _json_unit, _JSON_ROW, _JSON_LIST),
     }
 
 
@@ -292,7 +297,7 @@ def cmd_alambda(args):
         f"weight: {payload['weight']}",
         _presentation(pres, "presentation: ", "" if pres.variables else "   (A_lambda = C)"),
         f"Krull dimension: {payload['krull_dim']}",
-        _rows(*pres.facet_tables(_text_unit, ""), _TEXT_ROW, ("facets: ", "; ", "", "facets: {}")),
+        _rows(pres.facet_tables, _text_unit, _TEXT_ROW, ("facets: ", "; ", "", "facets: {}")),
         f"Hilbert coefficients to degree {args.degree}: {hs['coefficients']}",
         *([f"Hilbert closed form: {hs['closed_form']['display']}"] if hs["closed_form"] else []),
         "flags: " + " ".join(f"{k}={lower(flag)}" for k, flag in payload["flags"].items()),

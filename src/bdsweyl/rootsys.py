@@ -158,13 +158,15 @@ class RootSystem:
 
     def _close_roots(self) -> dict[Root, tuple[int, ...]]:
         """Every root with its row of pairings, by closing the simple roots under
-        the simple reflections; s_i fixes a root whose i-th pairing is 0."""
+        the simple reflections; s_i fixes a root whose i-th pairing is 0.  The
+        row of s_p(a) = a - c alpha_p is row(a) - c (Cartan column p)."""
+        columns = tuple(zip(*self.cartan))
         rows: dict[Root, tuple[int, ...]] = {}
         seen = set(self._simple_roots)
-        queue = list(seen)
+        queue = list(zip(self._simple_roots, columns))
         while queue:
-            a = queue.pop()
-            rows[a] = row = self._row_sum(a)
+            a, row = queue.pop()
+            rows[a] = row
             for p, c in enumerate(row):
                 if c:
                     b = list(a)
@@ -172,7 +174,7 @@ class RootSystem:
                     b = tuple(b)
                     if b not in seen:
                         seen.add(b)
-                        queue.append(b)
+                        queue.append((b, tuple([x - c * y for x, y in zip(row, columns[p])])))
         expected = ROOT_COUNTS[self.type_letter](self.rank)
         require(len(rows) == expected, "reflection closure gave {} roots, expected {}",
                 len(rows), expected)

@@ -220,25 +220,25 @@ class HilbertSeries(NamedTuple):
 
 
 def _walk(n: int, children: Callable[[int, Hashable], list[tuple[int, Hashable]]],
-          start: Hashable) -> list[tuple[int, ...]]:
-    """Every level tuple of a walk over n nodes from state `start`, in child order.
+          start: Hashable) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The level tuples of a walk over n nodes from `start`, in child order, as (prefix, suffixes) groups.
 
     `children(idx, state)` lists the (level, next state) pairs node idx offers
     in state, in output order.  They depend on idx and the state alone, so
     every prefix that reaches a state shares its suffixes (the meet-in-the-
     middle split of Horowitz and Sahni).  The prefixes over the first n // 2
-    nodes are built once each, level by level, and joined to the suffix list
-    of their state, which `_suffixes` memoizes per (idx, state); a memo from
-    the first node on held every state's list, and was slower.  The memo dies
-    with the call, and `_suffixes` is a module function, not a closure over
-    itself or a presentation, so no reference cycle outlives the call.
+    nodes are built once each, level by level, and grouped with the suffix
+    list of their state, which `_suffixes` memoizes per (idx, state): one list
+    object a state, maybe empty.  A memo from the first node on held every
+    state's list, and was slower.  The memo dies with the call, and
+    `_suffixes` is a module function, not a closure over itself or a
+    presentation, so no reference cycle outlives the call.
     """
     half, memo = n // 2, {}
     level = [((), start)]
     for idx in range(half):
         level = [(prefix + (r,), nxt) for prefix, state in level for r, nxt in children(idx, state)]
-    return [prefix + tail for prefix, state in level
-            for tail in _suffixes(half, state, n, children, memo)] if n else [()]
+    return [(p, _suffixes(half, state, n, children, memo)) for p, state in level] if n else [((), [()])]
 
 
 def _suffixes(idx: int, state: Hashable, n: int, children: Callable, memo: dict) -> list:
@@ -335,19 +335,19 @@ class SRPresentation:
         """Minimal generators of the monomial ideal: the inclusion-minimal
         sets of variables (one per node) whose weighted level sum exceeds
         lam(h_0), in the order of `_generator_levels`."""
-        tables, keys, _ = self.generator_tables(lambda v: v, None)
-        return tuple(frozenset(filter(None, map(getitem, tables, levels))) for levels in keys)
+        tables = self.generator_tables(lambda v: v, None)[0]
+        return tuple(frozenset(filter(None, map(getitem, tables, g))) for g in self._generator_levels)
 
     def generator_tables(self, unit: Callable[[SRVariable], object], empty) -> tuple:
-        """The generator encoding (tables, keys, tail), the keys `_generator_levels`:
-        the k-th table holds `empty` at level 0, then unit(P[i, r]), and the
-        tail is `empty`.  So generator g is the entries `tables[k][g[k]]`."""
+        """The generator encoding (tables, groups, tail), the groups of `_generator_levels`:
+        the k-th table holds `empty` at level 0, then unit(P[i, r]), and the tail is
+        `empty`.  So generator g (a group's prefix + suffix) is the entries `tables[k][g[k]]`."""
         return ([[empty, *map(unit, self._by_node[i])] for i in self.constrained_nodes],
-                self._generator_levels, empty)
+                self._generator_walk[1], empty)
 
     @cached_property
-    def _generator_levels(self) -> tuple[tuple[int, ...], ...]:
-        """The level of each generator at each constrained node (0: none).
+    def _generator_walk(self) -> tuple[tuple[tuple[int, ...], ...], list]:
+        """The levels of each generator at the constrained nodes (0: none), and their groups.
 
         Single-variable violations are absorbed into the caps, so every
         generator has at least two variables.  A violating level tuple is
@@ -382,7 +382,10 @@ class SRPresentation:
             return out
 
         # every w * r is at most h0, so h0 + 1 stands for "nothing chosen yet"
-        return tuple(_walk(len(weights), children, (0, h0 + 1))) if weights else ()
+        groups = _walk(len(weights), children, (0, h0 + 1)) if weights else []
+        return tuple(p + s for p, tails in groups for s in tails), groups
+
+    _generator_levels = property(lambda self: self._generator_walk[0])
 
     def face_predicate(self, sigma: Iterable[SRVariable]) -> bool:
         """Whether sigma is a face: no generator divides its product."""
@@ -418,11 +421,11 @@ class SRPresentation:
         return sum(n for (left, least), n in states.items() if left < least)
 
     @cached_property
-    def _tops(self) -> tuple[tuple[int, ...], ...]:
+    def _facet_walk(self) -> tuple[tuple[tuple[int, ...], ...], list]:
         """Top levels of the maximal faces on the constrained nodes, one tuple
         per facet, listed by `_walk` over the state (budget left, least
-        weight of a node not at its cap).  A presentation with more than
-        MAX_FACETS facets is refused first.
+        weight of a node not at its cap), and the walk's groups they expand.
+        A presentation with more than MAX_FACETS facets is refused first.
 
         A tuple is maximal iff the budget it leaves is below the least weight
         of a node not at its cap (`facet_count`).  The later nodes can take at
@@ -435,11 +438,11 @@ class SRPresentation:
         tuples differ, the larger top puts P[i, s + 1] where the other facet
         has a variable of a later node (it cannot end there, being maximal).
 
-        The facets stay these tuples on the query path (`facet_tables`).  After
-        the walk each tuple is checked maximal by that rule, the list strictly
-        descending (`_check_tops`) and as long as `facet_count`, so it is every
-        facet once.  The checks go through `require`, so they hold under
-        `python -O`."""
+        The facets stay these tuples on the query path, and their groups in
+        `facet_tables`.  After the walk each tuple is checked maximal by that
+        rule, the list strictly descending (`_check_tops`) and as long as
+        `facet_count`, so it is every facet once.  The checks go through
+        `require`, so they hold under `python -O`."""
         count = self.facet_count()
         if count > MAX_FACETS:
             raise ValueError(f"too many facets: the complex has {count}, above the limit "
@@ -452,11 +455,14 @@ class SRPresentation:
             return [(m, (left, below)) for m in range(min(cap, budget // w), -1, -1)
                     if (left := budget - w * m) - rest < (below := least if m == cap else min(least, w))]
 
-        out = _walk(len(weights), children, (self.h0, self.h0 + 1))
+        groups = _walk(len(weights), children, (self.h0, self.h0 + 1))
+        out = [p + s for p, tails in groups for s in tails]
         self._check_tops(out)
         require(len(out) == count, "facets: the walk listed {} tuples, the count is {}",
                 len(out), count)
-        return tuple(out)
+        return tuple(out), groups
+
+    _tops = property(lambda self: self._facet_walk[0])
 
     def _check_tops(self, tops: Sequence[tuple[int, ...]]) -> None:
         """Require each top-level tuple maximal and the list strictly descending.
@@ -484,12 +490,12 @@ class SRPresentation:
         require(all(map(gt, tops, tops[1:])), "facets: top-level tuples not strictly descending")
 
     def facet_tables(self, unit: Callable[[SRVariable], object], empty) -> tuple:
-        """The facet encoding (tables, keys, tail), the keys `_tops`.  Entry m of
-        the k-th table, at constrained node i, sums from `empty` the units of the
-        free nodes since the constrained node before i, then of P[i, 1..m]; the
-        tail sums those after the last one.  So facet t is the entries
-        `tables[k][t[k]]` and the tail; a node of cap 0 adds `empty`."""
-        tops, constrained = self._tops, set(self.constrained_nodes)
+        """The facet encoding (tables, groups, tail), the groups of `_tops`.  Entry
+        m of the k-th table, at constrained node i, sums from `empty` the units of
+        the free nodes since the constrained node before i, then of P[i, 1..m]; the
+        tail sums those after the last one.  So facet t, a group's prefix + suffix,
+        is the entries `tables[k][t[k]]` and the tail; a node of cap 0 adds `empty`."""
+        groups, constrained = self._facet_walk[1], set(self.constrained_nodes)
         tables, fixed = [], empty  # fixed: the free nodes not yet in a table
         for i in self.pair.rs.nodes:
             prefixes = list(accumulate(map(unit, self._by_node[i]), initial=empty))
@@ -498,15 +504,15 @@ class SRPresentation:
                 fixed = empty
             else:
                 fixed += prefixes[-1]
-        return tables, tops, fixed
+        return tables, groups, fixed
 
     @cached_property
     def _complex(self) -> SimplicialComplex:
         """The facets as frozensets in walk order, which is their sorted order
         (`_tops`), built from 1-tuple units; `SimplicialComplex` checks them
         maximal by bitmasks."""
-        tables, tops, tail = self.facet_tables(lambda v: (v,), ())
-        facets = tuple(frozenset(chain(tail, *map(getitem, tables, t))) for t in tops)
+        tables, _, tail = self.facet_tables(lambda v: (v,), ())
+        facets = tuple(frozenset(chain(tail, *map(getitem, tables, t))) for t in self._tops)
         return SimplicialComplex(facets)
 
     def facets(self) -> SimplicialComplex:

@@ -840,10 +840,12 @@ ROW_LISTS = [([], 1), ([[]], 1), ([[i, [i, 2 * i]] for i in range(1500)], 2)]
 
 @pytest.mark.parametrize("rows, count", ROW_LISTS, ids=["no_rows", "one_empty_row", "past_chunk"])
 def test_write_json_writes_a_row_generator_as_its_list(rows, count):
-    # one table of the rendered rows, key (k,) its row k, in empty row brackets
+    # one table of the rendered rows, prefix (k,) its row k, in empty row
+    # brackets; every prefix shares the one suffix list [()]
     table = [_render(r, _ROW_PAD) for r in rows]
-    keys = tuple((k,) for k in range(len(rows)))
-    row_list = _rows([table], keys, "", ("", "", "", ""), _JSON_LIST)
+    tails = [()]
+    groups = [((k,), tails) for k in range(len(rows))]
+    row_list = _rows(lambda unit, empty: ([table], groups, ""), None, ("", "", "", ""), _JSON_LIST)
     writes = []
     _write(_json({"a": 1, "rows": row_list, "z": [None]}), writes.append)
     assert "".join(writes) == json.dumps({"a": 1, "rows": rows, "z": [None]}, sort_keys=True, indent=2)
@@ -959,6 +961,9 @@ FIXED_ROW_CASES = {
         "E", 6, 3, "h1=2,h6=1,h0=4", lambda p: max(p.free_nodes) > max(p.constrained_nodes)),
     "free_nodes_only": ("E", 6, 3, "h6=1,h0=0", lambda p: p.free_nodes and not p.constrained_nodes),
     "no_variable": ("B", 3, 3, "h0=0", lambda p: not p.variables),
+    # prefix groups whose suffix lists are all empty: "generators": [] and (-)
+    "constrained_nodes_but_no_generator": (
+        "G", 2, 2, "h1=2,h0=1", lambda p: p.constrained_nodes and not p.generators),
 }
 
 
@@ -969,6 +974,25 @@ def test_alambda_rows_match_the_list_renderer_on_fixed_cases(case):
     lam = Weight0.parse(weight)
     assert shape(presentation(pair, lam))
     assert_rows_match_the_list_renderer(pair, lam, 6)
+
+
+@pytest.mark.parametrize("fmt, unused", [("text", "_json_unit"), ("json", "_text_unit")])
+def test_alambda_builds_only_the_tables_of_its_format(fmt, unused, monkeypatch):
+    # the row tables are built as their list is written, so a text report
+    # builds no JSON table and a JSON document no text table
+    calls = {"_json_unit": 0, "_text_unit": 0}
+
+    def counted(name, unit):
+        def wrapper(v):
+            calls[name] += 1
+            return unit(v)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert stdout_of(["alambda", "B", "7", "--node", "3", "--weight", "h1=1,h4=2,h5=2,h6=3,h0=4",
+                      "--format", fmt])[0] == 0
+    assert calls[unused] == 0 and sum(calls.values()) > 0
 
 
 # D12 at node 6 with the same weight w on every node and h0 = 4 w: 1555961

@@ -136,8 +136,9 @@ def valid_systems(max_rank):
 
 
 def test_pairing_table_matches_cartan_rows():
-    # the row kept for each root by the reflection closure is the Cartan-row
-    # sum, for every (type, rank); any other lattice vector is summed on the spot
+    # the row kept for each root by the reflection closure, stepped from its
+    # parent's row by one Cartan column, is the Cartan-row sum, for every
+    # (type, rank) of RANKS; any other lattice vector is summed on the spot
     rng = random.Random(3)
     for letter, n in valid_systems(CLASSICAL_MAX_RANK):
         rs = build(letter, n)

@@ -5,7 +5,7 @@ import tracemalloc
 import weakref
 from functools import reduce
 from itertools import combinations, product, zip_longest
-from operator import getitem, sub
+from operator import getitem, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -488,14 +488,57 @@ def test_walk_lists_every_path_and_shares_the_suffixes_of_a_state():
         calls.append(idx)
         return [(1, state), (0, state)]
 
-    assert _walk(8, children, "s") == list(product((1, 0), repeat=8))
+    groups = _walk(8, children, "s")
+    assert [p for p, _ in groups] == list(product((1, 0), repeat=4))
+    assert expand(groups) == tuple(product((1, 0), repeat=8))
     # the prefixes over nodes 0-3 take 1 + 2 + 4 + 8 calls, and the suffix
-    # list of nodes 4-7 is built once, one call a node; a walk without the
-    # memo calls children at each of the 255 inner nodes of the tree
+    # list of nodes 4-7 is built once, one call a node, and shared by all 16
+    # prefixes; a walk without the memo calls children at each of the 255
+    # inner nodes of the tree
     assert sorted(calls) == [0, 1, 1, 2, 2, 2, 2, *[3] * 8, 4, 5, 6, 7]
+    assert len({id(tails) for _, tails in groups}) == 1
     calls.clear()
-    assert (_walk(0, children, "s"), _walk(1, children, "s")) == ([()], [(1,), (0,)])
+    assert (_walk(0, children, "s"), _walk(1, children, "s")) == ([((), [()])],
+                                                                 [((), [(1,), (0,)])])
     assert calls == [0]
+
+
+def expand(groups):
+    """Oracle: the level tuples of the walk's groups, each prefix joined to each of its suffixes."""
+    return tuple(prefix + tail for prefix, tails in groups for tail in tails)
+
+
+def facet_state(pres, prefix):
+    """The facet walk's state after prefix: (budget left, least weight of a node not at its cap)."""
+    weights, caps, _ = pres._walk_bounds
+    return (pres.h0 - sum(map(mul, weights, prefix)),
+            min((w for w, m, cap in zip(weights, prefix, caps) if m < cap), default=pres.h0 + 1))
+
+
+def generator_state(pres, prefix):
+    """The generator walk's state after prefix: (level sum, least w * r chosen)."""
+    chosen = [w * r for w, r in zip(pres._walk_bounds[0], prefix) if r]
+    return sum(chosen), min(chosen, default=pres.h0 + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_groups_expand_to_the_tuples_and_share_a_suffix_list_per_state(data):
+    # the tuples the checks and the flags read are the expansion of the groups
+    # the rows are rendered from, and the groups of one state share one suffix
+    # list object, so a renderer that goes by identity joins each suffix once
+    pair = data.draw(st.sampled_from(ALL_PAIRS_8), label="pair")
+    lam = Weight0({k: data.draw(st.integers(0, 4), label=f"h{k}") for k in pair.delta0_labels})
+    pres = presentation(pair, lam)
+    for encoding, levels, state in ((pres.facet_tables, pres._tops, facet_state),
+                                    (pres.generator_tables, pres._generator_levels,
+                                     generator_state)):
+        groups = encoding(lambda v: (v,), ())[1]
+        assert expand(groups) == levels
+        lists = {}
+        for prefix, tails in groups:
+            assert lists.setdefault(state(pres, prefix), tails) is tails
+        assert len({id(tails) for tails in lists.values()}) == len(lists)
 
 
 ALL_PAIRS_6 = all_pairs(6)
@@ -543,8 +586,8 @@ def facets_by_sorting(pres):
     """Oracle: the facet order before the walk order was kept, a set of the
     walk's facets, summed from the tuple tables of `facet_tables`, sorted as
     sorted variable lists."""
-    tables, tops, tail = pres.facet_tables(lambda v: (v,), ())
-    return tuple(sorted({frozenset(sum(map(getitem, tables, t), tail)) for t in tops},
+    tables, groups, tail = pres.facet_tables(lambda v: (v,), ())
+    return tuple(sorted({frozenset(sum(map(getitem, tables, t), tail)) for t in expand(groups)},
                         key=lambda f: sorted(f)))
 
 
@@ -596,7 +639,7 @@ def test_facet_limit_is_checked_before_the_walk():
     pres = presentation(pair, lam)
     with pytest.raises(ValueError, match=f"has 27474, above the limit {MAX_FACETS}"):
         pres.facets()
-    assert "_tops" not in vars(pres)
+    assert "_facet_walk" not in vars(pres)
 
 
 @settings(max_examples=200, deadline=None)
